@@ -149,6 +149,11 @@ val run_until : t -> cycle:int -> outcome option
 (** Cycles executed so far. *)
 val current_cycle : t -> int
 
+(** Cycles executed by every engine of this process so far, summed once
+    per {!run} / {!run_until} call: a deterministic measure of
+    simulation work, independent of host speed. *)
+val executed_cycles : unit -> int
+
 (** A deep, closure-free copy of all mutable engine state — safe to
     [Marshal] and to restore any number of times.  Snapshots only make
     sense against an engine built from the same streams/FSMDs/config

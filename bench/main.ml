@@ -471,13 +471,14 @@ let timing_demo () =
 let timed_campaign ?(prune_hangs = true) ~mode ~jobs workloads =
   Exec.Cache.reset_memory ();
   let t0 = Unix.gettimeofday () in
+  let c0 = Engine.executed_cycles () in
   let n = ref 0 in
   let config =
     { Campaign.default_config with Campaign.mode; jobs = Some jobs; prune_hangs }
   in
   let report = Campaign.run ~config ~progress:(fun _ -> incr n) workloads in
   let dt = Unix.gettimeofday () -. t0 in
-  (report, !n, dt, Exec.Cache.stats ())
+  (report, !n, dt, Exec.Cache.stats (), Engine.executed_cycles () - c0)
 
 let campaign_bench () =
   section "Fault-injection campaign: assertion coverage and sweep throughput";
@@ -486,18 +487,20 @@ let campaign_bench () =
   (* A/B at the same job count: from-reset (compile + simulate every
      mutant from cycle zero) vs fork-point (restore the pre-activation
      snapshot).  Classification must agree exactly. *)
-  let reset_report, n, reset_dt, _ =
+  let reset_report, n, reset_dt, _, reset_cycles =
     timed_campaign ~mode:Campaign.From_reset ~jobs workloads
   in
-  let serial_report, _, serial_dt, _ =
+  let serial_report, _, serial_dt, _, _ =
     timed_campaign ~mode:Campaign.Fork ~jobs:1 workloads
   in
-  let report, _, dt, stats = timed_campaign ~mode:Campaign.Fork ~jobs workloads in
+  let report, _, dt, stats, fork_cycles =
+    timed_campaign ~mode:Campaign.Fork ~jobs workloads
+  in
   (* Hang pruning A/B: the same sweep with the liveness prefilter off
      must simulate every provably hanging mutant to the same class.
      Pruning may only change *how* a hang is established, never what
      the campaign concludes. *)
-  let noprune_report, _, noprune_dt, _ =
+  let noprune_report, _, noprune_dt, _, _ =
     timed_campaign ~prune_hangs:false ~mode:Campaign.Fork ~jobs workloads
   in
   print_endline (Campaign.render report);
@@ -528,6 +531,7 @@ let campaign_bench () =
   let reset_mps = float_of_int n /. reset_dt in
   let speedup = serial_dt /. dt in
   let fork_speedup = reset_dt /. dt in
+  let fork_cycle_ratio = float_of_int reset_cycles /. float_of_int (max 1 fork_cycles) in
   Printf.printf
     "  %d mutant runs: serial %.2fs, %d domain(s) %.2fs (%.2fx), %.1f mutants/sec\n"
     n serial_dt jobs dt speedup mps;
@@ -535,6 +539,10 @@ let campaign_bench () =
     "  from-reset: %.2fs (%.1f mutants/sec); fork-point is %.2fx faster \
      (classifications identical)\n"
     reset_dt reset_mps fork_speedup;
+  Printf.printf
+    "  simulated cycles: fork-point %d (baselines and replays included), from-reset %d \
+     (%.2fx fewer)\n"
+    fork_cycles reset_cycles fork_cycle_ratio;
   Printf.printf
     "  liveness prefilter: %d hang-class mutant runs pruned (sweep %.2fs vs %.2fs \
      unpruned; classifications identical)\n"
@@ -555,11 +563,13 @@ let campaign_bench () =
     "{\"mutant_runs\": %d, \"elapsed_seconds\": %.3f, \"serial_wall_seconds\": %.3f, \
      \"wall_seconds\": %.3f, \"jobs\": %d, \"speedup\": %.3f, \"mutants_per_second\": %.1f, \
      \"from_reset_wall_seconds\": %.3f, \"from_reset_mutants_per_second\": %.1f, \
-     \"fork_speedup_vs_reset\": %.3f, \"pruned_static\": %d, \"pruned_hang\": %d, \
+     \"fork_speedup_vs_reset\": %.3f, \"fork_cycles\": %d, \"from_reset_cycles\": %d, \
+     \"fork_cycle_ratio_vs_reset\": %.3f, \"pruned_static\": %d, \"pruned_hang\": %d, \
      \"no_prune_wall_seconds\": %.3f, \
      \"cache_hits\": %d, \"cache_misses\": %d, \"disk_hits\": %d, \"disk_misses\": %d, \
      \"report\": %s}\n"
-    n dt serial_dt dt jobs speedup mps reset_dt reset_mps fork_speedup
+    n dt serial_dt dt jobs speedup mps reset_dt reset_mps fork_speedup fork_cycles
+    reset_cycles fork_cycle_ratio
     report.Campaign.pruned_static report.Campaign.pruned_hang noprune_dt
     stats.Exec.Cache.hits stats.Exec.Cache.misses
     stats.Exec.Cache.disk_hits stats.Exec.Cache.disk_misses

@@ -181,7 +181,13 @@ let rec map_stmts (f : stmt -> stmt list) body =
     (fun st ->
       let st =
         match st.s with
-        | If (c, t, e) -> { st with s = If (c, map_stmts f t, map_stmts f e) }
+        | If (c, t, e) ->
+            (* bind in source order: constructor arguments evaluate right
+               to left, and stateful [f]s (assertion numbering) must see
+               the then branch first *)
+            let t = map_stmts f t in
+            let e = map_stmts f e in
+            { st with s = If (c, t, e) }
         | While (c, b) -> { st with s = While (c, map_stmts f b) }
         | For (h, b) -> { st with s = For (h, map_stmts f b) }
         | Block b -> { st with s = Block (map_stmts f b) }

@@ -409,6 +409,38 @@ let test_driver_shared_mode_messages () =
         (msg = "app.c:6: main: Assertion `x != 3' failed.")
   | other -> Alcotest.fail (Printf.sprintf "expected one message, got %d" (List.length other))
 
+(* Assertion ids follow source order through both branches of an if:
+   a failing then-branch assertion reports its own text, not the else
+   branch's, under every strategy that synthesizes checkers. *)
+let test_driver_if_else_messages () =
+  let src =
+    {| stream int32 inp depth 4;
+       process hw main() {
+         int32 v1;
+         v1 = stream_read(inp);
+         if (v1 != 0) {
+           assert(v1 == 0);
+         } else {
+           assert(5 != 0);
+         }
+       } |}
+  in
+  List.iter
+    (fun (name, strategy) ->
+      let r =
+        Driver.simulate
+          ~options:{ Driver.default_sim_options with Driver.feeds = [ ("inp", [ 7L ]) ] }
+          (Driver.compile ~strategy (elab src))
+      in
+      check (Alcotest.list tstr) (name ^ ": then-branch message")
+        [ "app.c:6: main: Assertion `v1 == 0' failed." ]
+        r.Driver.messages)
+    [
+      ("unoptimized", Driver.unoptimized);
+      ("parallelized", Driver.parallelized);
+      ("optimized", Driver.optimized);
+    ]
+
 let test_driver_mem_ports_strategy () =
   (* doubling the application-visible ports removes the consecutive-array
      overhead (Table 3's mechanism, inverted) *)
@@ -641,6 +673,7 @@ let () =
           Alcotest.test_case "unoptimized NABORT collects all" `Quick
             test_driver_unoptimized_nabort_collects_all;
           Alcotest.test_case "shared-mode messages" `Quick test_driver_shared_mode_messages;
+          Alcotest.test_case "if/else messages" `Quick test_driver_if_else_messages;
           Alcotest.test_case "mem_ports strategy" `Quick test_driver_mem_ports_strategy;
         ] );
       ( "carte",

@@ -13,21 +13,19 @@ open Front.Ast
 exception Division_by_zero
 
 (* Mask of the low [n] bits, n in [1,64]. *)
-let low_mask n =
+let[@inline] low_mask n =
   if n >= 64 then -1L else Int64.sub (Int64.shift_left 1L n) 1L
 
-(** Canonicalize [v] as a value of signedness [s] and width [w]. *)
-let wrap s w v =
+(** Canonicalize [v] as a value of signedness [s] and width [w]: keep
+    the low bits, then shift them back down sign- or zero-extending. *)
+let[@inline] wrap s w v =
   let n = bits_of_width w in
   if n = 64 then v
   else
-    let t = Int64.logand v (low_mask n) in
+    let up = Int64.shift_left v (64 - n) in
     match s with
-    | Unsigned -> t
-    | Signed ->
-        let sign_bit = Int64.shift_left 1L (n - 1) in
-        if Int64.logand t sign_bit = 0L then t
-        else Int64.logor t (Int64.lognot (low_mask n))
+    | Unsigned -> Int64.shift_right_logical up (64 - n)
+    | Signed -> Int64.shift_right up (64 - n)
 
 let wrap_ty ty v =
   match ty with
@@ -57,30 +55,30 @@ let compare_v s a b =
   | Unsigned -> Int64.unsigned_compare a b
 
 (** Evaluate a binary operation at type [ty] (the common operand type
-    produced by elaboration).  Comparison results are booleans (0/1). *)
+    produced by elaboration).  Comparison results are booleans (0/1).
+    Allocates nothing beyond the boxed result. *)
 let binop op ty a b =
   let s = signedness_of ty and w = width_of ty in
-  let arith f = wrap s w (f a b) in
   match op with
-  | Add -> arith Int64.add
-  | Sub -> arith Int64.sub
-  | Mul -> arith Int64.mul
+  | Add -> wrap s w (Int64.add a b)
+  | Sub -> wrap s w (Int64.sub a b)
+  | Mul -> wrap s w (Int64.mul a b)
   | Div ->
       if b = 0L then raise Division_by_zero
-      else
-        let q = match s with Signed -> Int64.div a b | Unsigned -> Int64.unsigned_div a b in
-        wrap s w q
+      else (
+        match s with
+        | Signed -> wrap s w (Int64.div a b)
+        | Unsigned -> wrap s w (Int64.unsigned_div a b))
   | Mod ->
       if b = 0L then raise Division_by_zero
-      else
-        let r = match s with Signed -> Int64.rem a b | Unsigned -> Int64.unsigned_rem a b in
-        wrap s w r
-  | Band -> arith Int64.logand
-  | Bor -> arith Int64.logor
-  | Bxor -> arith Int64.logxor
-  | Shl ->
-      let amount = Int64.to_int (Int64.logand b 63L) in
-      wrap s w (Int64.shift_left a amount)
+      else (
+        match s with
+        | Signed -> wrap s w (Int64.rem a b)
+        | Unsigned -> wrap s w (Int64.unsigned_rem a b))
+  | Band -> wrap s w (Int64.logand a b)
+  | Bor -> wrap s w (Int64.logor a b)
+  | Bxor -> wrap s w (Int64.logxor a b)
+  | Shl -> wrap s w (Int64.shift_left a (Int64.to_int (Int64.logand b 63L)))
   | Shr ->
       let amount = Int64.to_int (Int64.logand b 63L) in
       let shifted =

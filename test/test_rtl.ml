@@ -185,6 +185,76 @@ let test_vhdl_tap_signals () =
   let c = Core.Driver.compile ~strategy:Core.Driver.parallelized prog in
   check tbool "tap latch enables emitted" true (contains "tap0_fire <= '1';" c.Core.Driver.vhdl)
 
+(* --- VHDL byte pins ------------------------------------------------------------- *)
+
+(* MD5 of the full VHDL text (what [inca vhdl] prints) for every
+   examples/*.c under every strategy of [Driver.all_strategies].  A change
+   to scheduling, RTL generation or the emitter that alters a single byte
+   of a bundled design's VHDL fails here; re-pin only for an intended
+   change of the generated hardware. *)
+let vhdl_pins =
+  [
+    ("campaign.c", "baseline", "4d1c54abd76ad39575b4f0d5e4df8ed4");
+    ("campaign.c", "unoptimized", "b3f070e0f79cc3ca2a159d77c3fbbf9b");
+    ("campaign.c", "parallelized", "0003b6c175c55d2da4529795561bbe9a");
+    ("campaign.c", "optimized", "f33647e83ece00f942217744b3d8535e");
+    ("campaign.c", "carte", "d2c6b5cc07bdc79389b7bf4f7fb5be04");
+    ("dct.c", "baseline", "71f1978235617bd808c372094b61653d");
+    ("dct.c", "unoptimized", "5c455ccd395350fb8564c73784fca70e");
+    ("dct.c", "parallelized", "6f75c5c96ab2b08aae405af979ed832f");
+    ("dct.c", "optimized", "cd4ab34938fc3d3fa18b7e87aeb16d18");
+    ("dct.c", "carte", "671452023fef752ce9d8a0dbf2c94d0c");
+    ("deadlock.c", "baseline", "71e33ddeb867142d0910e502585dc1da");
+    ("deadlock.c", "unoptimized", "71e33ddeb867142d0910e502585dc1da");
+    ("deadlock.c", "parallelized", "71e33ddeb867142d0910e502585dc1da");
+    ("deadlock.c", "optimized", "71e33ddeb867142d0910e502585dc1da");
+    ("deadlock.c", "carte", "71e33ddeb867142d0910e502585dc1da");
+    ("fir.c", "baseline", "58ce2adde3e7d7495a868a552799960c");
+    ("fir.c", "unoptimized", "7d93fc42ba98241e93f6cea51c868297");
+    ("fir.c", "parallelized", "816cca3b7b7b1df0c391d36c7450a045");
+    ("fir.c", "optimized", "f9db453cc1cf0570a46e302e3f66e68e");
+    ("fir.c", "carte", "6024058e569d3d1eacfb41617e45c495");
+    ("mine_demo.c", "baseline", "8be33a4f7cebc0b6980d2604865ef4ca");
+    ("mine_demo.c", "unoptimized", "1c4a4a44e98f310f0ae77b4124739b6d");
+    ("mine_demo.c", "parallelized", "df46230034069ea4f8bf2ecc14f72a57");
+    ("mine_demo.c", "optimized", "f3ce3fa991983e193b0b12c465eb22ae");
+    ("mine_demo.c", "carte", "76ee4c48a5e13486fd8444ce08389acf");
+    ("prove_demo.c", "baseline", "686de11bd494e013430c128894c17159");
+    ("prove_demo.c", "unoptimized", "9d18e949892d6e6f91135d2959b92152");
+    ("prove_demo.c", "parallelized", "99a636211fe41de4293647b581ae8676");
+    ("prove_demo.c", "optimized", "414271ebd67dcce9e5119e731e94497a");
+    ("prove_demo.c", "carte", "06fb07c338f7aa15778e235f9b582b84");
+  ]
+
+(* Source files live in examples/; dune runs tests from _build subdirs. *)
+let examples_dir =
+  List.find
+    (fun d -> Sys.file_exists (Filename.concat d "fir.c"))
+    [ "../examples"; "examples"; "../../examples" ]
+
+let test_vhdl_pins () =
+  let files =
+    Sys.readdir examples_dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".c")
+    |> List.sort compare
+  in
+  check (Alcotest.list Alcotest.string) "one pin per example and strategy"
+    (List.concat_map (fun f -> List.map (fun (s, _) -> f ^ "/" ^ s) Core.Driver.all_strategies) files)
+    (List.map (fun (f, s, _) -> f ^ "/" ^ s) vhdl_pins);
+  List.iter
+    (fun (f, sname, want) ->
+      let ic = open_in_bin (Filename.concat examples_dir f) in
+      let src = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      let c =
+        Core.Driver.compile
+          ~strategy:(List.assoc sname Core.Driver.all_strategies)
+          (Typecheck.parse_and_check ~file:f src)
+      in
+      check Alcotest.string (f ^ " under " ^ sname) want
+        (Digest.to_hex (Digest.string c.Core.Driver.vhdl)))
+    vhdl_pins
+
 let () =
   Alcotest.run "rtl"
     [
@@ -220,5 +290,6 @@ let () =
         [
           Alcotest.test_case "structure" `Quick test_vhdl_structure;
           Alcotest.test_case "tap signals" `Quick test_vhdl_tap_signals;
+          Alcotest.test_case "bundled examples pinned" `Quick test_vhdl_pins;
         ] );
     ]

@@ -125,10 +125,10 @@ let vhdl_cmd =
     Cli.or_static_violation @@ fun () ->
     let c = Cli.load ~prune_proved:prune sel file in
     (match out with
-    | None -> print_string c.Core.Driver.vhdl
+    | None -> print_string (Core.Driver.vhdl c)
     | Some path ->
         let oc = open_out path in
-        output_string oc c.Core.Driver.vhdl;
+        output_string oc (Core.Driver.vhdl c);
         close_out oc;
         Printf.printf "wrote %s\n" path);
     `Ok 0

@@ -4,8 +4,9 @@
     with ANSI-C assertions, pick an assertion synthesis strategy, and
     produce everything downstream — instrumented HLL source, IR, FSMDs,
     checker processes, a structural netlist with EP2S180 area and fmax
-    estimates, VHDL, the generated notification function, and a
-    ready-to-run cycle-accurate simulation. *)
+    estimates, the generated notification function, and a ready-to-run
+    cycle-accurate simulation.  The VHDL text is not part of a compile:
+    {!vhdl} renders it on demand from the compiled FSMDs. *)
 
 open Front.Ast
 module Ir = Mir.Ir
@@ -97,7 +98,6 @@ type compiled = {
   netlist : Rtl.Netlist.t;
   area : Rtl.Area.usage;
   timing : Rtl.Timing.estimate;
-  vhdl : string;
   notification_source : string;
   pruned : prune_stats;
 }
@@ -293,11 +293,6 @@ let finish ?(faults : Faults.Fault.t list = []) (f : front) : compiled =
       (fsmds @ List.map (fun (c : Checker.t) -> c.Checker.fsmd) checkers)
   in
   let timing = Rtl.Timing.estimate ~name:top_name ~max_chain_ns:max_chain area in
-  let vhdl =
-    Rtl.Vhdl.emit_design
-      (fsmds @ List.map (fun (c : Checker.t) -> c.Checker.fsmd) checkers)
-      instrumented.streams
-  in
   {
     strategy;
     source = f.f_source;
@@ -311,10 +306,17 @@ let finish ?(faults : Faults.Fault.t list = []) (f : front) : compiled =
     netlist;
     area;
     timing;
-    vhdl;
     notification_source = f.f_notification_source;
     pruned = f.f_pruned;
   }
+
+(** The design's VHDL text: the application FSMDs followed by the checker
+    FSMDs, over the instrumented program's streams.  Rendered on each call;
+    only [inca vhdl] needs it, so simulation-only compiles never pay for it. *)
+let vhdl (c : compiled) : string =
+  Rtl.Vhdl.emit_design
+    (c.fsmds @ List.map (fun (k : Checker.t) -> k.Checker.fsmd) c.checkers)
+    c.instrumented.streams
 
 (** Compile an elaborated program under [strategy], optionally injecting
     hardware-translation [faults] (Section 5.1). *)

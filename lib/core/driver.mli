@@ -4,8 +4,9 @@
     with ANSI-C assertions, pick an assertion synthesis strategy, and
     produce everything downstream — instrumented HLL source, IR, FSMDs,
     checker processes, a structural netlist with EP2S180 area and fmax
-    estimates, VHDL, the generated notification function, and a
-    ready-to-run cycle-accurate simulation. *)
+    estimates, the generated notification function, and a ready-to-run
+    cycle-accurate simulation.  The VHDL text is not part of a compile:
+    {!vhdl} renders it on demand from the compiled FSMDs. *)
 
 module Ir = Mir.Ir
 
@@ -74,7 +75,6 @@ type compiled = {
   netlist : Rtl.Netlist.t;
   area : Rtl.Area.usage;
   timing : Rtl.Timing.estimate;
-  vhdl : string;
   notification_source : string;      (** generated C (Figure 2) *)
   pruned : prune_stats;
 }
@@ -124,6 +124,15 @@ val front :
     estimate area/timing.  Never mutates the front, so one front value
     is safely shared by concurrent mutant compiles across domains. *)
 val finish : ?faults:Faults.Fault.t list -> front -> compiled
+
+(** The design's VHDL: the application FSMDs, then the checker FSMDs,
+    over the instrumented program's streams.  Rendered on every call, so a
+    simulation-only compile never pays for the text.  It is a function
+    rather than a [Lazy.t] field because a compiled value is shared across
+    {!Exec.Pool} domains, and forcing one lazy from two domains at once
+    raises under OCaml 5; a function also keeps [compiled] free of
+    suspended closures. *)
+val vhdl : compiled -> string
 
 (** Compile an elaborated program, optionally injecting
     hardware-translation [faults] (Section 5.1).

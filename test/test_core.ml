@@ -3,7 +3,6 @@
    end-to-end driver — and the Table 3/4 latency/rate regressions. *)
 
 open Front
-module Ir = Mir.Ir
 module Engine = Sim.Engine
 module Driver = Core.Driver
 
@@ -355,14 +354,14 @@ let test_driver_area_ordering () =
   check tbool "sharing saves area" true (shared < unopt)
 
 let test_driver_vhdl_emitted () =
-  let c = Driver.compile ~strategy:Driver.parallelized (elab loop_src) in
+  let v = Driver.vhdl (Driver.compile ~strategy:Driver.parallelized (elab loop_src)) in
   let contains needle s =
     let n = String.length needle and m = String.length s in
     let rec go i = i + n <= m && (String.sub s i n = needle || go (i + 1)) in
     go 0
   in
-  check tbool "entity for the process" true (contains "entity main is" c.Driver.vhdl);
-  check tbool "checker entity" true (contains "entity __chk0 is" c.Driver.vhdl)
+  check tbool "entity for the process" true (contains "entity main is" v);
+  check tbool "checker entity" true (contains "entity __chk0 is" v)
 
 let test_driver_compile_source () =
   let c = Driver.compile_source ~file:"inline.c" loop_src in

@@ -137,7 +137,7 @@ let test_cache_compile_equals_driver_compile () =
   Cache.reset ();
   let direct = Driver.compile ~strategy:Driver.parallelized prog in
   let cached = Cache.compile ~strategy:Driver.parallelized prog in
-  check tstr "identical VHDL through the cache" direct.Driver.vhdl cached.Driver.vhdl;
+  check tstr "identical VHDL through the cache" (Driver.vhdl direct) (Driver.vhdl cached);
   check tint "identical ALUTs" direct.Driver.area.Rtl.Area.aluts
     cached.Driver.area.Rtl.Area.aluts
 

@@ -2,7 +2,6 @@
    model, VHDL emission. *)
 
 open Front
-module Ir = Mir.Ir
 module Netlist = Rtl.Netlist
 module Area = Rtl.Area
 module Timing = Rtl.Timing
@@ -183,7 +182,7 @@ let test_vhdl_structure () =
 let test_vhdl_tap_signals () =
   let prog = elab (wrap "int32 x; x = stream_read(inp); assert(x > 0); stream_write(out, x);") in
   let c = Core.Driver.compile ~strategy:Core.Driver.parallelized prog in
-  check tbool "tap latch enables emitted" true (contains "tap0_fire <= '1';" c.Core.Driver.vhdl)
+  check tbool "tap latch enables emitted" true (contains "tap0_fire <= '1';" (Core.Driver.vhdl c))
 
 (* --- VHDL byte pins ------------------------------------------------------------- *)
 
@@ -252,7 +251,7 @@ let test_vhdl_pins () =
           (Typecheck.parse_and_check ~file:f src)
       in
       check Alcotest.string (f ^ " under " ^ sname) want
-        (Digest.to_hex (Digest.string c.Core.Driver.vhdl)))
+        (Digest.to_hex (Digest.string (Core.Driver.vhdl c))))
     vhdl_pins
 
 let () =

@@ -8,8 +8,6 @@
     delays failure reporting, never the application (Section 3.3). *)
 
 open Front.Ast
-module Ir = Mir.Ir
-module Loc = Front.Loc
 
 type t = {
   spec : Parallelize.checker_spec;

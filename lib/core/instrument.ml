@@ -10,7 +10,6 @@
     and its per-process channel cost (Figures 4-5). *)
 
 open Front.Ast
-module Loc = Front.Loc
 
 (** Remove every assertion (the paper's NDEBUG build, and the baseline
     "Original" configurations of Tables 1-2). *)

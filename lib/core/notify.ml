@@ -53,9 +53,9 @@ let failures (n : t) = List.rev !(n.failed_ids)
 (** Generated C source of the notification function — the software side
     of the paper's Figure 2 instrumentation.  Each stream's drain loop
     switches only on the failure words actually routed to that stream
-    (from the channel {!Share.plan}); without a [route] every assertion
-    appears in every loop, keyed by assertion id. *)
-let c_source ?(dma = false) ?(route : (int * (string * int64)) list = [])
+    (from the channel {!Share.plan}); under [dma] or with an empty [route]
+    every assertion appears in every loop, keyed by assertion id. *)
+let c_source ~(dma : bool) ~(route : (int * (string * int64)) list)
     ~(table : (int * Assertion.info) list) ~(streams : string list) ~(nabort : bool) :
     string =
   let buf = Buffer.create 1024 in

@@ -28,10 +28,11 @@ val failures : t -> int list
     side of the paper's Figure 2 instrumentation.  [route] (the channel
     plan's assertion id -> (stream, failure word) map) restricts each
     stream's drain loop to the failure words actually routed to it;
-    without it every assertion appears in every loop, keyed by id. *)
+    with [dma] or an empty [route] every assertion appears in every loop,
+    keyed by id. *)
 val c_source :
-  ?dma:bool ->
-  ?route:(int * (string * int64)) list ->
+  dma:bool ->
+  route:(int * (string * int64)) list ->
   table:(int * Assertion.info) list ->
   streams:string list ->
   nabort:bool ->

@@ -10,7 +10,6 @@
     rows in Tables 3-4 come from. *)
 
 open Front.Ast
-module Loc = Front.Loc
 
 type checker_spec = {
   info : Assertion.info;

@@ -150,7 +150,8 @@ let replay (f : Driver.front) ~(id : int) (w : Bmc.Prove.witness) : replay_outco
            | Sim.Engine.Hang _ -> "hang"
            | Sim.Engine.Livelock _ -> "livelock"
            | Sim.Engine.Aborted m -> "aborted: " ^ m
-           | Sim.Engine.Out_of_cycles -> "out of cycles")
+           | Sim.Engine.Out_of_cycles -> "out of cycles"
+           | Sim.Engine.Sim_error m -> "simulator error: " ^ m)
            (List.length res.Driver.failed_assertions))
 
 (* The lint-L105 cross-reference: assertions Absint's dead-assertion

@@ -17,7 +17,6 @@ type env = {
   vars : (string * ty) list;          (** in-scope scalars and arrays *)
   streams : stream_decl list;
   externs : extern_decl list;
-  proc : string;                      (** enclosing process name *)
 }
 
 let lookup_var env loc name =
@@ -249,7 +248,7 @@ let elab_proc ~streams ~externs (p : proc) =
       if not (is_scalar ty) then
         error p.ploc "parameter %s of %s must be scalar" name p.pname)
     p.params;
-  let env = { vars = p.params; streams; externs; proc = p.pname } in
+  let env = { vars = p.params; streams; externs } in
   let _, body = elab_stmts env p.body in
   { p with body }
 

@@ -3,7 +3,6 @@
     program-level and added by the driver via {!design}. *)
 
 module Ir = Mir.Ir
-module Stratix = Device.Stratix
 open Front.Ast
 
 let bits_of_ty = function

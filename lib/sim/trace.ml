@@ -22,13 +22,11 @@ type t = {
   mutable signals : signal list;  (** declaration order *)
   body : Buffer.t;
   mutable current_cycle : int;
-  mutable header_written : bool;
   mutable samples : int;
 }
 
 let create () =
-  { signals = []; body = Buffer.create 4096; current_cycle = -1; header_written = false;
-    samples = 0 }
+  { signals = []; body = Buffer.create 4096; current_cycle = -1; samples = 0 }
 
 (* VCD identifier codes: printable ASCII 33..126, little-endian digits. *)
 let code_of_index i =

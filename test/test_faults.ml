@@ -4,7 +4,6 @@
    of the generated notification function. *)
 
 open Front
-module Ir = Mir.Ir
 module Engine = Sim.Engine
 module Driver = Core.Driver
 module Fault = Faults.Fault

@@ -4,7 +4,6 @@
    interpreter computes (when no fault is injected). *)
 
 open Front
-module Ir = Mir.Ir
 module Engine = Sim.Engine
 module Fifo = Sim.Fifo
 module Bram = Sim.Bram

@@ -476,6 +476,27 @@ let test_oracle_bmc_leg () =
 
 (* --- end-to-end prove ------------------------------------------------------ *)
 
+(* A witness whose replay stops the engine with a simulator error (here a
+   division by zero) is refuted with the error named, not a crash. *)
+let test_replay_simulator_error () =
+  let prog =
+    elab
+      "stream int32 inp depth 16; process hw main() { int32 x; int32 y; \
+       x = stream_read(inp); y = 100 / x; assert(y > 1000); }"
+  in
+  let f = Driver.front ~strategy:Driver.parallelized prog in
+  let w = { Bmc.Prove.w_cycle = 4; w_feeds = [ ("inp", [ 0L ]) ]; w_params = [] } in
+  let contains needle s =
+    let n = String.length needle and m = String.length s in
+    let rec go i = i + n <= m && (String.sub s i n = needle || go (i + 1)) in
+    go 0
+  in
+  match Verify.replay f ~id:0 w with
+  | Verify.Refuted m ->
+      check tbool ("refutation names the simulator error: " ^ m) true
+        (contains "simulator error: division by zero" m)
+  | Verify.Confirmed c -> Alcotest.failf "replay confirmed at cycle %d" c
+
 let test_prove_mine_demo_violated () =
   let prog = elab (read_file (example "examples/mine_demo.c")) in
   let rep, diags = Verify.prove ~depth:8 prog in
@@ -621,5 +642,7 @@ let () =
             test_prove_deterministic_across_jobs;
           Alcotest.test_case "fir outside fragment" `Quick
             test_prove_fir_outside_fragment;
+          Alcotest.test_case "replay simulator error" `Quick
+            test_replay_simulator_error;
         ] );
     ]

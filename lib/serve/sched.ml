@@ -279,6 +279,12 @@ let do_check ?progress (k : Job.check_params) : outcome =
 
 let do_prove ?progress ?default_jobs (p : Job.prove_params) : outcome =
   if p.p_sources = [] then raise (Usage "prove: no sources given");
+  let at_least name min v =
+    if v < min then raise (Usage (Printf.sprintf "prove: %s must be at least %d (got %d)" name min v))
+  in
+  at_least "depth" 1 p.p_depth;
+  at_least "induction" 0 p.p_induction;
+  at_least "conflict_limit" 1 p.p_conflict_limit;
   let jobs = match p.p_jobs with Some _ as j -> j | None -> default_jobs in
   let prove_one s =
     let file = source_name s in

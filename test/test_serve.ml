@@ -2,7 +2,8 @@
    tolerance (unknown fields in, version mismatches rejected with a
    diagnostic), scheduler-vs-library equivalence, and the daemon's
    survival contract over a real Unix socket (malformed requests,
-   mid-job client disconnects, warm-cache resubmission). *)
+   mid-job client disconnects, warm-cache resubmission), and usage
+   errors for out-of-range prove parameters on both paths. *)
 
 module Job = Core.Job
 module Report = Core.Report
@@ -402,6 +403,41 @@ let test_sched_failures_are_reports () =
   in
   Alcotest.(check int) "usage exit 1" 1 o.Serve.Sched.sc_report.Report.exit_code
 
+(* Out-of-range prove parameters: each is a usage error naming the
+   field, refused before any source is compiled. *)
+let bad_prove_params =
+  [
+    ("depth", -3, 4, 200_000);
+    ("depth", 0, 4, 200_000);
+    ("induction", 8, -1, 200_000);
+    ("conflict_limit", 8, 4, 0);
+  ]
+
+let prove_job ~depth ~induction ~conflict_limit =
+  Job.Prove
+    {
+      Job.p_sources = [ Job.Text { name = "fir.c"; text = fir_source () } ];
+      p_depth = depth;
+      p_induction = induction;
+      p_assertion = None;
+      p_conflict_limit = conflict_limit;
+      p_jobs = Some 1;
+    }
+
+let check_prove_refused field (rep : Report.t) =
+  Alcotest.(check int) (field ^ ": usage exit 1") 1 rep.Report.exit_code;
+  Alcotest.(check bool) (field ^ ": error names the field") true
+    (match rep.Report.error with
+    | Some m -> contains ~sub:(Printf.sprintf "prove: %s must be at least" field) m
+    | None -> false)
+
+let test_sched_prove_params_refused () =
+  List.iter
+    (fun (field, depth, induction, conflict_limit) ->
+      let o = Serve.Sched.run (prove_job ~depth ~induction ~conflict_limit) in
+      check_prove_refused field o.Serve.Sched.sc_report)
+    bad_prove_params
+
 (* --- the daemon over a real socket ----------------------------------------- *)
 
 let socket_counter = ref 0
@@ -522,6 +558,28 @@ let test_daemon_campaign_identical_and_warm () =
   | Error e, _ | _, Error e -> Alcotest.fail e);
   Serve.Server.stop t
 
+(* The same refusal for Job JSON written by a client on the socket. *)
+let test_daemon_prove_params_refused () =
+  let socket = fresh_socket () in
+  let t = Serve.Server.start ~socket () in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists socket then Serve.Server.stop t)
+  @@ fun () ->
+  List.iter
+    (fun (field, depth, induction, conflict_limit) ->
+      let fd = raw_connect socket in
+      raw_send fd
+        (Printf.sprintf
+           {|{"schema_version": %d, "job": {"kind": "prove", "sources": [{"path": "nope.c"}], "depth": %d, "induction": %d, "conflict_limit": %d}}|}
+           Report.schema_version depth induction conflict_limit);
+      let line = raw_read_line fd in
+      Unix.close fd;
+      match Serve.Proto.decode_event line with
+      | Ok (_, Serve.Proto.Done { report; _ }) -> check_prove_refused field report
+      | _ -> Alcotest.fail ("expected a report, got: " ^ line))
+    bad_prove_params;
+  Serve.Server.stop t
+
 let test_stale_socket_reclaimed () =
   let socket = fresh_socket () in
   (* leave a dead socket file behind *)
@@ -557,6 +615,8 @@ let () =
             test_sched_check_filters_and_determinism;
           Alcotest.test_case "failures are reports" `Quick
             test_sched_failures_are_reports;
+          Alcotest.test_case "out-of-range prove parameters refused" `Quick
+            test_sched_prove_params_refused;
         ] );
       ( "daemon",
         [
@@ -565,5 +625,7 @@ let () =
             test_daemon_campaign_identical_and_warm;
           Alcotest.test_case "stale socket reclaimed" `Quick
             test_stale_socket_reclaimed;
+          Alcotest.test_case "out-of-range prove parameters refused" `Quick
+            test_daemon_prove_params_refused;
         ] );
     ]

@@ -25,9 +25,12 @@
     by concurrent {!Core.Driver.finish} calls.  A compile on miss runs
     {e outside} the lock — two domains racing on the same key may
     duplicate work, but the first insert wins and both observe the same
-    value.  {!Faults.Campaign.run} pre-warms the cache serially per
-    (workload, strategy), which also keeps the hit/miss counters
-    deterministic regardless of the worker count. *)
+    value.  The campaign plan warms each distinct (program,
+    strategy) front in its own pool job before anything else looks it
+    up, so each key costs exactly one miss and the hit/miss counters
+    are the same for every worker count.  The disk tier is reached from
+    worker domains too: temp files are private to a (process, domain)
+    and the executable digest is computed once under a lock. *)
 
 module Driver = Core.Driver
 
@@ -46,9 +49,20 @@ let magic = "INCA-CACHE"
 let format_version = 1
 
 (* Marshalled closures are only valid inside the binary that wrote
-   them: stamp every entry with the executable's digest. *)
-let exe_digest =
-  lazy (try Digest.file Sys.executable_name with _ -> Digest.string "unknown")
+   them: stamp every entry with the executable's digest.  Computed on
+   first use under a lock: worker domains reach it concurrently, and a
+   [lazy] forced from two domains at once raises [Lazy.Undefined]. *)
+let digest_lock = Mutex.create ()
+let digest_memo : Digest.t option ref = ref None
+
+let exe_digest () =
+  Mutex.protect digest_lock (fun () ->
+      match !digest_memo with
+      | Some d -> d
+      | None ->
+          let d = try Digest.file Sys.executable_name with _ -> Digest.string "unknown" in
+          digest_memo := Some d;
+          d)
 
 let cache_dir : string option ref = ref (Sys.getenv_opt "INCA_CACHE_DIR")
 
@@ -57,7 +71,7 @@ let dir () = !cache_dir
 
 let header () =
   Printf.sprintf "%s\x01%d\x01%s\x01" magic format_version
-    (Digest.to_hex (Lazy.force exe_digest))
+    (Digest.to_hex (exe_digest ()))
 
 (* Keys are hex digests and kinds are short identifiers, so a flat
    [dir/kind-key.bin] layout needs no subdirectories. *)
@@ -80,7 +94,8 @@ let disk_store ~kind ~key (v : 'a) =
           let path = entry_path d ~kind ~key in
           let tmp =
             Filename.concat d
-              (Printf.sprintf ".tmp-%d-%s-%s" (Unix.getpid ()) kind key)
+              (Printf.sprintf ".tmp-%d-%d-%s-%s" (Unix.getpid ())
+                 (Domain.self () :> int) kind key)
           in
           let oc = open_out_bin tmp in
           Fun.protect

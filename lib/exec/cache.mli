@@ -12,7 +12,8 @@
     fronts and arbitrary blobs (campaign baseline snapshots) across
     processes.  Entries are written atomically with a versioned header
     bound to the running executable; corrupt or incompatible entries
-    read as misses, never errors. *)
+    read as misses, never errors.  Both tiers are safe to use from
+    concurrent worker domains. *)
 
 type stats = { hits : int; misses : int; disk_hits : int; disk_misses : int }
 

@@ -17,6 +17,12 @@
       serial fallback exercises the exact same code path as the caller
       would have written by hand.
 
+    Worker domains persist: they are spawned on first need and parked
+    between batches.  One batch runs at a time; a call made while one
+    is running (from inside a job, or from another systhread) runs
+    inline like [jobs = 1].  Once workers exist the OCaml runtime
+    refuses [Unix.fork].
+
     Timeouts are logical, not preemptive: a domain cannot be killed, so
     runaway jobs must bound themselves (the campaign's per-mutant cycle
     budget and live-lock watchdog do exactly that). *)
@@ -46,7 +52,8 @@ let default_jobs () =
 
 (* One deque per worker, mutex-guarded: the owner pops from the front,
    thieves steal from the back.  Jobs are only ever enqueued once, before
-   the workers start, so a worker that sees every deque empty is done. *)
+   the batch is published, so a worker that sees every deque empty is
+   done with the batch. *)
 type deque = {
   lock : Mutex.t;
   slots : int array;
@@ -93,11 +100,89 @@ let run_attempts ~retries fn =
   in
   go 1 None
 
+(* --- persistent workers ------------------------------------------------
+
+   Worker domains are spawned on first need, up to [jobs - 1], and then
+   parked on [wake] between batches, so every later batch reuses them.
+   A short-lived domain that ran allocation-heavy jobs costs resident
+   memory a parked one does not.  One batch runs at a time: whoever
+   holds [busy] publishes a batch body, runs worker 0 itself and waits
+   on [idle] for the workers it enlisted.  All of the state below is
+   guarded by [lock]; [spawned] is only touched by the [busy] holder. *)
+
+let lock = Mutex.create ()
+let wake = Condition.create ()
+let idle = Condition.create ()
+let busy = ref false
+let batch_id = ref 0  (* bumped each time a batch is published *)
+let body : (int -> unit) ref = ref ignore  (* the batch, by worker id *)
+let enlisted = ref 0  (* workers 1..enlisted take part in the batch *)
+let pending = ref 0  (* enlisted workers still running *)
+let spawned = ref 0
+
+let rec park id seen =
+  Mutex.lock lock;
+  while !batch_id = seen do
+    Condition.wait wake lock
+  done;
+  let seen = !batch_id in
+  let work = if id <= !enlisted then Some !body else None in
+  Mutex.unlock lock;
+  (match work with
+  | None -> ()
+  | Some work ->
+      work id;
+      Mutex.lock lock;
+      decr pending;
+      if !pending = 0 then Condition.signal idle;
+      Mutex.unlock lock);
+  park id seen
+
+(* Take the pool for one batch; [false] when a batch is already running,
+   which the caller answers by running inline. *)
+let acquire () =
+  Mutex.lock lock;
+  let free = not !busy in
+  if free then busy := true;
+  Mutex.unlock lock;
+  free
+
+(* Run [worker 0 .. worker (jobs - 1)] to completion, worker 0 on the
+   calling domain.  Requires [busy]; releases it. *)
+let run_batch ~jobs (worker : int -> unit) =
+  (try
+     while !spawned < jobs - 1 do
+       let id = !spawned + 1 and seen = !batch_id in
+       ignore (Domain.spawn (fun () -> park id seen));
+       spawned := id
+     done
+   with Failure _ -> () (* the domain limit: fewer helpers, worker 0 steals the rest *));
+  let helpers = Stdlib.min (jobs - 1) !spawned in
+  Mutex.lock lock;
+  body := worker;
+  enlisted := helpers;
+  pending := helpers;
+  incr batch_id;
+  Condition.broadcast wake;
+  Mutex.unlock lock;
+  worker 0;
+  Mutex.lock lock;
+  while !pending > 0 do
+    Condition.wait idle lock
+  done;
+  body := ignore;
+  busy := false;
+  Mutex.unlock lock
+
 (** Run every job of [fns] and return the outcomes in job order.
-    [jobs] worker domains (default {!default_jobs}; clamped to the job
-    count; [1] runs inline on the calling domain without spawning).
-    [retries] is the number of extra attempts after a crash (default 1,
-    the campaign's historical crash-isolation policy). *)
+    [jobs] workers (default {!default_jobs}; clamped to the job count):
+    the calling domain plus [jobs - 1] persistent worker domains.  [1]
+    runs inline on the calling domain without touching a domain, and so
+    does a call made while another batch is running — from inside a
+    job or from another systhread — so nested and concurrent calls get
+    the [jobs = 1] outcomes.  [retries] is the number of extra attempts
+    after a crash (default 1, the campaign's historical crash-isolation
+    policy). *)
 let run ?jobs ?(retries = 1) (fns : (unit -> 'a) array) : 'a outcome array =
   let n = Array.length fns in
   let jobs =
@@ -105,7 +190,8 @@ let run ?jobs ?(retries = 1) (fns : (unit -> 'a) array) : 'a outcome array =
     Stdlib.min requested (Stdlib.max 1 n)
   in
   if n = 0 then [||]
-  else if jobs = 1 then Array.map (fun fn -> run_attempts ~retries fn) fns
+  else if jobs = 1 || not (acquire ()) then
+    Array.map (fun fn -> run_attempts ~retries fn) fns
   else begin
     let results : 'a outcome option array = Array.make n None in
     (* deal each worker a contiguous block; stealing rebalances the tail *)
@@ -142,17 +228,13 @@ let run ?jobs ?(retries = 1) (fns : (unit -> 'a) array) : 'a outcome array =
       in
       loop ()
     in
-    let spawned =
-      Array.init (jobs - 1) (fun i -> Domain.spawn (fun () -> worker (i + 1)))
-    in
-    worker 0;
-    Array.iter Domain.join spawned;
+    run_batch ~jobs worker;
     Array.map
       (function
         | Some o -> o
         | None ->
             (* unreachable: every enqueued index is popped exactly once
-               and executed before its worker exits *)
+               and executed before its worker reports done *)
             assert false)
       results
   end

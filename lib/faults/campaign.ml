@@ -372,8 +372,8 @@ let snapshot_cycles (sites : Fault.site list) (first_act : int array) =
          if s.Fault.s_padded && c <> never then Some c else None)
        sites)
 
-(* Build the fork context for one (workload, strategy) serially, before
-   the pool starts.  [None] = fall back to the legacy from-reset path
+(* Build the fork context for one (workload, strategy), as one plan
+   job.  [None] = fall back to the legacy from-reset path
    for every site of this pair: the padded neutral baseline must finish
    and match the golden output (it always should — every pad is an
    identity when unarmed — but a safety valve beats a wrong report). *)
@@ -483,12 +483,12 @@ let fork_attempt (ctx : fork_ctx) (site : Fault.site) : Driver.sim_result =
   Engine.arm ses.Driver.ses_engine [ (site.Fault.s_proc, site.Fault.s_arm) ];
   Driver.session_result ses (Engine.run ses.Driver.ses_engine)
 
-(* Classify a pool outcome against the golden output; pure bookkeeping,
-   run on the coordinating domain in job order. *)
-let classify ~golden (w : workload) sname fault
-    (o : Driver.sim_result Exec.Pool.outcome) : run =
+(* Classify a mutant's simulation (or its toolchain crash) against the
+   golden output; pure bookkeeping. *)
+let classify ~golden (w : workload) sname fault (result : (Driver.sim_result, string) result) :
+    run =
   let outcome, detail, cycles =
-    match o.Exec.Pool.value with
+    match result with
     | Error msg -> (Silent_corruption, Message ("toolchain crash: " ^ msg), 0)
     | Ok r -> (
         let cycles = r.Driver.engine.Engine.cycles in
@@ -517,7 +517,7 @@ let classify ~golden (w : workload) sname fault
     outcome;
     detail;
     cycles;
-    retried = o.Exec.Pool.attempts > 1;
+    retried = false;
   }
 
 let summarize strategies runs =
@@ -562,12 +562,12 @@ type disposition =
   | Baseline_equiv of Driver.sim_result
   | Simulate of (unit -> Driver.sim_result)
 
-(* --- sharding ------------------------------------------------------------ *)
+(* --- planning -------------------------------------------------------------- *)
 
 (* One schedulable unit of a campaign: a single (workload, strategy,
-   fault site) mutant, carrying everything its evaluation needs so a
-   shard can run on any worker domain — or any scheduler — without
-   touching shared mutable state. *)
+   fault site) mutant, carrying everything its evaluation needs so it
+   can run on any worker domain without touching shared mutable
+   state. *)
 type shard = {
   sh_workload : workload;
   sh_strategy : string;
@@ -585,249 +585,261 @@ type plan = {
   pl_shards : shard array;
 }
 
-let plan ?(config = default_config) (workloads : workload list) : plan =
-  let dropped = ref 0 in
-  let site_count = ref 0 in
-  let kind_tbl = Hashtbl.create 8 in
-  (* Serial per-workload prep: warm the compile cache for every
-     strategy (so worker domains only ever hit), enumerate and cap the
-     fault sites, run the static pre-filter, record the golden output,
-     derive the cycle budget, and (fork mode) build the padded design,
-     site-activity record and pre-activation snapshots per strategy. *)
-  let prepped =
-    List.map
+(* The per-workload half of the plan: capped sites, both pre-filters'
+   verdicts, the golden output and the derived budget and watchdog. *)
+type prep = {
+  pr_sites : Fault.t list;
+  pr_dropped : int;
+  pr_verdicts : Prefilter.verdict list;
+  pr_hangs : Prefilter.hang_verdict list;
+  pr_golden : (string * int64 list) list;
+  pr_budget : int;
+  pr_watchdog : int;
+}
+
+let prep (config : config) (w : workload) : prep =
+  let sites = enumerate w in
+  let sites, dropped =
+    match config.max_mutants with
+    | Some n when List.length sites > n -> (cap_round_robin n sites, List.length sites - n)
+    | _ -> (sites, 0)
+  in
+  (* The pre-filter analyzes the baseline IR the sites were enumerated
+     on; its verdicts are input-independent, so they apply identically
+     in both modes — the classification-identity gate depends on that. *)
+  let verdicts =
+    let base_front = Exec.Cache.front ~strategy:Driver.baseline w.program in
+    Prefilter.verdicts base_front.Driver.f_ir sites
+  in
+  (* The liveness pre-filter works on the AST and the workload's
+     stimulus (token counts, not values), so — like the value
+     pre-filter — its verdicts are identical in both modes. *)
+  let hangs =
+    if config.prune_hangs then
+      Prefilter.hang_verdicts ~params:w.options.Driver.params
+        ~feeds:(List.map (fun (s, vs) -> (s, List.length vs)) w.options.Driver.feeds)
+        ~drains:w.options.Driver.drains w.program sites
+    else List.map (fun _ -> Prefilter.Hang_unknown) sites
+  in
+  let golden = golden_drained w in
+  let base_cycles = unfaulted_cycles w in
+  let budget = match config.budget with Some b -> b | None -> (4 * base_cycles) + 2000 in
+  let watchdog =
+    match config.watchdog with Some n -> n | None -> Stdlib.max 200 (budget / 20)
+  in
+  {
+    pr_sites = sites;
+    pr_dropped = dropped;
+    pr_verdicts = verdicts;
+    pr_hangs = hangs;
+    pr_golden = golden;
+    pr_budget = budget;
+    pr_watchdog = watchdog;
+  }
+
+(* Run plan jobs as one index-ordered pool batch.  Plan jobs are not
+   retried: a failure re-raises the original exception of the lowest
+   failing index, so callers see the exception itself (a workload that
+   does not complete raises [Invalid_argument]) at every job count. *)
+let plan_batch ~jobs (fns : (unit -> 'a) list) : 'a list =
+  let caught f () = match f () with v -> Ok v | exception e -> Error e in
+  let results =
+    Array.map
+      (fun (o : _ Exec.Pool.outcome) ->
+        match o.Exec.Pool.value with Ok r -> r | Error m -> Error (Failure m))
+      (Exec.Pool.run ?jobs ~retries:0 (Array.of_list (List.map caught fns)))
+  in
+  Array.iter (function Error e -> raise e | Ok _ -> ()) results;
+  List.filter_map Result.to_option (Array.to_list results)
+
+(* Plan the sweep in three pool batches on [config.jobs] — compile-cache
+   warm-up, per-workload prep, per-(workload, strategy) fork contexts —
+   then count and flatten serially, so the plan is the same for every
+   job count. *)
+let plan (config : config) (workloads : workload list) : plan =
+  let batch fns = plan_batch ~jobs:config.jobs fns in
+  (* One job per distinct (program, strategy) front, baseline included
+     for site enumeration and the golden run: each key costs exactly
+     one miss in any order, and every later lookup hits. *)
+  let fronts =
+    List.concat_map
       (fun w ->
-        List.iter
-          (fun (_, strategy) -> ignore (Exec.Cache.front ~strategy w.program))
-          config.strategies;
-        let sites = enumerate w in
-        let sites, d =
-          match config.max_mutants with
-          | Some n when List.length sites > n ->
-              (cap_round_robin n sites, List.length sites - n)
-          | _ -> (sites, 0)
-        in
-        dropped := !dropped + d;
-        site_count := !site_count + List.length sites;
-        List.iter
-          (fun f ->
-            let k = Fault.kind_name f in
-            Hashtbl.replace kind_tbl k (1 + (try Hashtbl.find kind_tbl k with Not_found -> 0)))
-          sites;
-        (* The pre-filter analyzes the baseline IR the sites were
-           enumerated on; its verdicts are input-independent, so they
-           apply identically in both modes — the classification-
-           identity gate depends on that. *)
-        let verdicts =
-          let base_front = Exec.Cache.front ~strategy:Driver.baseline w.program in
-          Prefilter.verdicts base_front.Driver.f_ir sites
-        in
-        (* The liveness pre-filter works on the AST and the workload's
-           stimulus (token counts, not values), so — like the value
-           pre-filter — its verdicts are identical in both modes. *)
-        let hangs =
-          if config.prune_hangs then
-            Prefilter.hang_verdicts ~params:w.options.Driver.params
-              ~feeds:
-                (List.map
-                   (fun (s, vs) -> (s, List.length vs))
-                   w.options.Driver.feeds)
-              ~drains:w.options.Driver.drains w.program sites
-          else List.map (fun _ -> Prefilter.Hang_unknown) sites
-        in
-        let golden = golden_drained w in
-        let base_cycles = unfaulted_cycles w in
-        let budget =
-          match config.budget with Some b -> b | None -> (4 * base_cycles) + 2000
-        in
-        let watchdog =
-          match config.watchdog with Some n -> n | None -> Stdlib.max 200 (budget / 20)
-        in
-        let fork_ctxs =
-          match config.mode with
-          | From_reset -> []
-          | Fork ->
-              List.filter_map
-                (fun (sname, strategy) ->
-                  match
-                    build_fork_ctx w strategy ~budget ~watchdog
-                      ~cfg_budget:config.budget ~cfg_watchdog:config.watchdog
-                      ~golden
-                  with
-                  | Some ctx -> Some (sname, ctx)
-                  | None -> None)
-                config.strategies
-        in
-        (w, sites, verdicts, hangs, golden, budget, watchdog, fork_ctxs))
+        List.map
+          (fun strategy -> (Exec.Cache.key ~strategy w.program, (w.program, strategy)))
+          (Driver.baseline :: List.map snd config.strategies))
       workloads
   in
-  (* One mutant per (workload, strategy, site), flattened in the serial
-     sweep order: workload outermost, then strategy, then site.  Each
-     carries its disposition; only [Simulate] ones go to the pool, so
-     the result list stays in canonical order for every job count. *)
-  let mutants =
-    List.concat_map
-      (fun (w, sites, verdicts, hangs, golden, budget, watchdog, fork_ctxs) ->
-        List.concat_map
-          (fun (sname, strategy) ->
-            let ctx = List.assoc_opt sname fork_ctxs in
-            List.map2
-              (fun (fault, hang) verdict ->
-                let legacy () =
-                  Simulate (fun () -> attempt_mutant ~budget ~watchdog w strategy fault)
-                in
-                let disp =
-                  match (verdict : Prefilter.verdict) with
-                  | Prefilter.Equivalent | Prefilter.Dead -> Pruned
-                  | Prefilter.Unknown -> (
-                      match (hang : Prefilter.hang_verdict) with
-                      | Prefilter.Certain_hang witness -> Pruned_hang witness
-                      | Prefilter.Hang_unknown -> (
-                          match ctx with
-                          | None -> legacy ()
-                          | Some ctx -> (
-                              match
-                                List.find_opt
-                                  (fun (s : Fault.site) -> s.Fault.s_fault = fault)
-                                  ctx.fc_sites
-                              with
-                              | Some site when site.Fault.s_padded ->
-                                  let act = ctx.fc_first_act.(site.Fault.s_index) in
-                                  if act = never then Baseline_equiv ctx.fc_base
-                                  else if List.mem_assoc act ctx.fc_snaps then
-                                    Simulate (fun () -> fork_attempt ctx site)
-                                  else legacy ()
-                              | _ -> legacy ())))
-                in
-                (w, sname, fault, golden, disp))
-              (List.combine sites hangs) verdicts)
-          config.strategies)
-      prepped
+  let fronts =
+    List.rev
+      (List.fold_left
+         (fun acc (k, f) -> if List.mem_assoc k acc then acc else (k, f) :: acc)
+         [] fronts)
   in
+  ignore
+    (batch
+       (List.map
+          (fun (_, (program, strategy)) () -> ignore (Exec.Cache.front ~strategy program))
+          fronts));
+  let preps = batch (List.map (fun w () -> prep config w) workloads) in
+  let ctxs =
+    match config.mode with
+    | From_reset -> List.map (fun _ -> List.map (fun _ -> None) config.strategies) workloads
+    | Fork ->
+        let jobs =
+          List.concat
+            (List.map2
+               (fun w pr ->
+                 List.map
+                   (fun (_, strategy) () ->
+                     build_fork_ctx w strategy ~budget:pr.pr_budget ~watchdog:pr.pr_watchdog
+                       ~cfg_budget:config.budget ~cfg_watchdog:config.watchdog
+                       ~golden:pr.pr_golden)
+                   config.strategies)
+               workloads preps)
+        in
+        let nstrat = List.length config.strategies in
+        let all = Array.of_list (batch jobs) in
+        List.mapi (fun i _ -> Array.to_list (Array.sub all (i * nstrat) nstrat)) workloads
+  in
+  let kind_tbl = Hashtbl.create 8 in
+  List.iter
+    (fun pr ->
+      List.iter
+        (fun f ->
+          let k = Fault.kind_name f in
+          Hashtbl.replace kind_tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt kind_tbl k)))
+        pr.pr_sites)
+    preps;
   let kind_counts =
     List.filter_map
-      (fun k ->
-        match Hashtbl.find_opt kind_tbl k with Some n -> Some (k, n) | None -> None)
+      (fun k -> Option.map (fun n -> (k, n)) (Hashtbl.find_opt kind_tbl k))
       [ "narrow-compare"; "read-for-write"; "stuck-stream-bit"; "drop-stream-write";
         "loop-off-by-one" ]
+  in
+  (* One shard per (workload, strategy, site), flattened in the serial
+     sweep order: workload outermost, then strategy, then site.  Each
+     carries its disposition; only [Simulate] ones cost a simulation,
+     and the result list stays in canonical order for every job
+     count. *)
+  let shards =
+    List.concat
+      (List.map2
+         (fun (w, pr) strat_ctxs ->
+           List.concat
+             (List.map2
+                (fun (sname, strategy) ctx ->
+                  List.map2
+                    (fun (fault, hang) verdict ->
+                      let legacy () =
+                        Simulate
+                          (fun () ->
+                            attempt_mutant ~budget:pr.pr_budget ~watchdog:pr.pr_watchdog w
+                              strategy fault)
+                      in
+                      let disp =
+                        match (verdict : Prefilter.verdict) with
+                        | Prefilter.Equivalent | Prefilter.Dead -> Pruned
+                        | Prefilter.Unknown -> (
+                            match (hang : Prefilter.hang_verdict) with
+                            | Prefilter.Certain_hang witness -> Pruned_hang witness
+                            | Prefilter.Hang_unknown -> (
+                                match ctx with
+                                | None -> legacy ()
+                                | Some ctx -> (
+                                    match
+                                      List.find_opt
+                                        (fun (s : Fault.site) -> s.Fault.s_fault = fault)
+                                        ctx.fc_sites
+                                    with
+                                    | Some site when site.Fault.s_padded ->
+                                        let act = ctx.fc_first_act.(site.Fault.s_index) in
+                                        if act = never then Baseline_equiv ctx.fc_base
+                                        else if List.mem_assoc act ctx.fc_snaps then
+                                          Simulate (fun () -> fork_attempt ctx site)
+                                        else legacy ()
+                                    | _ -> legacy ())))
+                      in
+                      {
+                        sh_workload = w;
+                        sh_strategy = sname;
+                        sh_fault = fault;
+                        sh_golden = pr.pr_golden;
+                        sh_disp = disp;
+                      })
+                    (List.combine pr.pr_sites pr.pr_hangs)
+                    pr.pr_verdicts)
+                config.strategies strat_ctxs))
+         (List.combine workloads preps) ctxs)
   in
   {
     pl_workloads = List.map (fun w -> w.wname) workloads;
     pl_strategies = config.strategies;
-    pl_site_count = !site_count;
-    pl_dropped = !dropped;
+    pl_site_count = List.fold_left (fun n pr -> n + List.length pr.pr_sites) 0 preps;
+    pl_dropped = List.fold_left (fun n pr -> n + pr.pr_dropped) 0 preps;
     pl_kind_counts = kind_counts;
-    pl_shards =
-      Array.of_list
-        (List.map
-           (fun (w, sname, fault, golden, disp) ->
-             {
-               sh_workload = w;
-               sh_strategy = sname;
-               sh_fault = fault;
-               sh_golden = golden;
-               sh_disp = disp;
-             })
-           mutants);
+    pl_shards = Array.of_list shards;
   }
 
-let shard_count (p : plan) = Array.length p.pl_shards
-
-let shard_label (p : plan) i =
-  let s = p.pl_shards.(i) in
-  Printf.sprintf "%s/%s/%s" s.sh_workload.wname s.sh_strategy (Fault.describe s.sh_fault)
-
-(* Evaluate one shard.  Safe to call from any worker domain: pruned
-   shards classify [Benign] without simulating, baseline-equivalent
-   shards reuse the recorded neutral run, and the rest simulate. *)
-let eval_shard (p : plan) i : run =
-  let s = p.pl_shards.(i) in
+(* Evaluate one shard on a worker domain: pruned shards classify
+   without simulating, baseline-equivalent shards reuse the recorded
+   neutral run, and the rest simulate. *)
+let eval_shard (s : shard) : run =
+  let pruned outcome detail =
+    {
+      workload = s.sh_workload.wname;
+      strategy = s.sh_strategy;
+      fault = s.sh_fault;
+      outcome;
+      detail;
+      cycles = 0;
+      retried = false;
+    }
+  in
+  let simulated r = classify ~golden:s.sh_golden s.sh_workload s.sh_strategy s.sh_fault r in
   match s.sh_disp with
-  | Pruned ->
-      {
-        workload = s.sh_workload.wname;
-        strategy = s.sh_strategy;
-        fault = s.sh_fault;
-        outcome = Benign;
-        detail = No_detail;
-        cycles = 0;
-        retried = false;
-      }
-  | Pruned_hang witness ->
-      {
-        workload = s.sh_workload.wname;
-        strategy = s.sh_strategy;
-        fault = s.sh_fault;
-        outcome = Hang_detected;
-        detail = Message ("statically proved hang: " ^ witness);
-        cycles = 0;
-        retried = false;
-      }
-  | Baseline_equiv base ->
-      classify ~golden:s.sh_golden s.sh_workload s.sh_strategy s.sh_fault
-        { Exec.Pool.value = Ok base; attempts = 1 }
-  | Simulate f ->
-      classify ~golden:s.sh_golden s.sh_workload s.sh_strategy s.sh_fault
-        { Exec.Pool.value = Ok (f ()); attempts = 1 }
+  | Pruned -> pruned Benign No_detail
+  | Pruned_hang witness -> pruned Hang_detected (Message ("statically proved hang: " ^ witness))
+  | Baseline_equiv base -> simulated (Ok base)
+  | Simulate f -> simulated (Ok (f ()))
 
-(* The run for a shard whose evaluation crashed (after the pool's
-   retry): same classification a crashed mutant got on the legacy
-   path — silent corruption with the crash message. *)
-let crash_run (p : plan) i msg : run =
-  let s = p.pl_shards.(i) in
-  classify ~golden:s.sh_golden s.sh_workload s.sh_strategy s.sh_fault
-    { Exec.Pool.value = Error msg; attempts = 1 }
-
-let with_retry (r : run) ~attempts = if attempts > 1 then { r with retried = true } else r
-
-(* Merge shard results (in shard-index order) into the report.  The
-   merge is pure bookkeeping, so a report assembled from any scheduler
-   is byte-identical to the serial sweep's as long as [runs] is in
-   index order. *)
-let merge (p : plan) (runs : run list) : report =
-  let pruned_static =
-    Array.fold_left
-      (fun n s -> match s.sh_disp with Pruned -> n + 1 | _ -> n)
-      0 p.pl_shards
+(** Sweep every enumerated fault site of every workload under every
+    strategy: plan on an {!Exec.Pool} of [config.jobs] workers, evaluate
+    every shard on the same pool, and assemble the report in
+    shard-index order — so the report is byte-identical for every job
+    count.  [progress] (if given) is called once per classified mutant
+    run, on the calling domain, in deterministic (shard-index) order. *)
+let run ?(config = default_config) ?progress (workloads : workload list) : report =
+  let p = plan config workloads in
+  let outcomes =
+    Exec.Pool.run ?jobs:config.jobs ~retries:1
+      (Array.map (fun s () -> eval_shard s) p.pl_shards)
   in
-  let pruned_hang =
-    Array.fold_left
-      (fun n s -> match s.sh_disp with Pruned_hang _ -> n + 1 | _ -> n)
-      0 p.pl_shards
+  let runs =
+    List.mapi
+      (fun i (o : run Exec.Pool.outcome) ->
+        let r =
+          match o.Exec.Pool.value with
+          | Ok r -> r
+          | Error m ->
+              (* crashed twice: a toolchain crash is silent corruption *)
+              let s = p.pl_shards.(i) in
+              classify ~golden:s.sh_golden s.sh_workload s.sh_strategy s.sh_fault (Error m)
+        in
+        if o.Exec.Pool.attempts > 1 then { r with retried = true } else r)
+      (Array.to_list outcomes)
   in
+  Option.iter (fun f -> List.iter f runs) progress;
+  let pruned f = Array.fold_left (fun n s -> if f s.sh_disp then n + 1 else n) 0 p.pl_shards in
   {
     workloads = p.pl_workloads;
     site_count = p.pl_site_count;
     dropped = p.pl_dropped;
     kind_counts = p.pl_kind_counts;
-    pruned_static;
-    pruned_hang;
+    pruned_static = pruned (function Pruned -> true | _ -> false);
+    pruned_hang = pruned (function Pruned_hang _ -> true | _ -> false);
     runs;
     summaries = summarize p.pl_strategies runs;
   }
-
-(** Sweep every enumerated fault site of every workload under every
-    strategy: plan, evaluate every shard on an {!Exec.Pool} of worker
-    domains ([config.jobs]), merge in shard-index order — so the report
-    is byte-identical for every job count.  [progress] (if given) is
-    called once per classified mutant run, on the calling domain, in
-    deterministic (shard-index) order. *)
-let run ?(config = default_config) ?progress (workloads : workload list) : report =
-  let p = plan ~config workloads in
-  let fns = Array.init (shard_count p) (fun i () -> eval_shard p i) in
-  let outcomes = Exec.Pool.run ?jobs:config.jobs ~retries:1 fns in
-  let out = ref [] in
-  for i = 0 to shard_count p - 1 do
-    let o = outcomes.(i) in
-    let r =
-      match o.Exec.Pool.value with
-      | Ok r -> with_retry r ~attempts:o.Exec.Pool.attempts
-      | Error m -> with_retry (crash_run p i m) ~attempts:o.Exec.Pool.attempts
-    in
-    (match progress with Some f -> f r | None -> ());
-    out := r :: !out
-  done;
-  merge p (List.rev !out)
 
 (* --- rendering ---------------------------------------------------------- *)
 

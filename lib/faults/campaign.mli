@@ -135,47 +135,17 @@ type report = {
 (** Fault sites of a workload's baseline-compiled IR. *)
 val enumerate : workload -> Faults.Fault.t list
 
-(** A planned campaign, split into shards: one shard per (workload,
-    strategy, fault site), in canonical sweep order (workload
-    outermost, then strategy, then site).  Planning does all the serial
-    preparation — cache warming, site enumeration and capping, the
-    static pre-filter, golden runs, budget derivation, fork-context
-    construction — so shards evaluate independently on any worker
-    domain, or under any external scheduler ([inca serve]). *)
-type plan
-
-val plan : ?config:config -> workload list -> plan
-
-val shard_count : plan -> int
-
-(** ["workload/strategy/fault"] — the progress label for one shard. *)
-val shard_label : plan -> int -> string
-
-(** Evaluate shard [i]: simulate (or reuse the recorded baseline /
-    static verdict) and classify.  Pure with respect to the plan; safe
-    to call concurrently for distinct shards. *)
-val eval_shard : plan -> int -> run
-
-(** The run recorded for a shard whose evaluation crashed (silent
-    corruption with the crash message), mirroring the classification a
-    crashed mutant receives from {!run}. *)
-val crash_run : plan -> int -> string -> run
-
-(** Mark a run as retried when its pool outcome took more than one
-    attempt. *)
-val with_retry : run -> attempts:int -> run
-
-(** Assemble the report from shard results in shard-index order.  Pure
-    bookkeeping: a report merged from any scheduler is byte-identical
-    to {!run}'s as long as the results are in index order. *)
-val merge : plan -> run list -> report
-
-(** [plan] + evaluate every shard on an {!Exec.Pool} of worker domains
-    ([config.jobs]) + [merge].  Compiles go through the shared
-    {!Exec.Cache}, and results are collected by shard index, so the
-    report is byte-identical for every job count.  [progress] (if
-    given) is called once per classified mutant run, on the calling
-    domain, in deterministic (shard-index) order. *)
+(** Sweep every (workload, strategy, fault site) mutant.  The plan —
+    compile-cache warm-up, per-workload site enumeration, pre-filters,
+    golden and unfaulted runs, and per-(workload, strategy) fork
+    contexts — runs as index-ordered batches on an {!Exec.Pool} of
+    [config.jobs] workers, then every mutant is evaluated on the same
+    pool.  Compiles go through the shared {!Exec.Cache}, and results
+    are collected by index, so the report is byte-identical for every
+    job count.  A failing plan step re-raises its own exception (a
+    workload that does not complete raises [Invalid_argument]).
+    [progress] (if given) is called once per classified mutant run, on
+    the calling domain, in deterministic (sweep) order. *)
 val run : ?config:config -> ?progress:(run -> unit) -> workload list -> report
 
 val detected_of_summary : strategy_summary -> int

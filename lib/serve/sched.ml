@@ -478,29 +478,17 @@ let do_campaign ?progress ?default_jobs (a : Job.campaign_params) : outcome =
       prune_hangs = a.a_prune_hangs;
     }
   in
-  (* The sharded evaluation path: plan serially, evaluate every
-     (workload x strategy x fault-site) shard on the pool, merge in
-     shard-index order.  Identical to [Campaign.run] by construction;
-     spelled out here so each shard's classification streams to the
-     client as a progress event. *)
-  let p = Campaign.plan ~config workloads in
-  let n = Campaign.shard_count p in
-  let fns = Array.init n (fun i () -> Campaign.eval_shard p i) in
-  let outcomes = Exec.Pool.run ?jobs ~retries:1 fns in
-  let out = ref [] in
-  for i = 0 to n - 1 do
-    let o = outcomes.(i) in
-    let r =
-      match o.Exec.Pool.value with
-      | Ok r -> Campaign.with_retry r ~attempts:o.Exec.Pool.attempts
-      | Error m -> Campaign.with_retry (Campaign.crash_run p i m) ~attempts:o.Exec.Pool.attempts
-    in
-    (match progress with
-    | Some f -> f ~label:("mutant " ^ Campaign.shard_label p i) ~data:(run_json r)
-    | None -> ());
-    out := r :: !out
-  done;
-  let rep = Campaign.merge p (List.rev !out) in
+  let progress =
+    Option.map
+      (fun f (r : Campaign.run) ->
+        f
+          ~label:
+            (Printf.sprintf "mutant %s/%s/%s" r.Campaign.workload r.Campaign.strategy
+               (Faults.Fault.describe r.Campaign.fault))
+          ~data:(run_json r))
+      progress
+  in
+  let rep = Campaign.run ~config ?progress workloads in
   let payload = Campaign.json_of rep in
   let escapes = escapes_of rep in
   let report =

@@ -67,14 +67,74 @@ let test_pool_retry_recovers_transient_crash () =
       check tint (Printf.sprintf "job %d took two attempts" i) 2 o.Pool.attempts)
     out
 
+let unwrap (o : int Pool.outcome) =
+  match o.Pool.value with Ok v -> v | Error m -> Alcotest.failf "job failed: %s" m
+
 let test_pool_serial_matches_parallel () =
   let fns = Array.init 32 (fun i () -> i * i) in
-  let unwrap (o : int Pool.outcome) =
-    match o.Pool.value with Ok v -> v | Error m -> Alcotest.failf "job failed: %s" m
-  in
   let serial = Array.map unwrap (Pool.run ~jobs:1 fns) in
   let par = Array.map unwrap (Pool.run ~jobs:4 fns) in
   check (Alcotest.array tint) "serial = parallel, in job order" serial par
+
+let test_pool_back_to_back_batches () =
+  (* the parked workers are reused by every batch; each batch must still
+     deliver its own outcomes, in job order *)
+  for b = 1 to 500 do
+    let n = 1 + (b mod 13) in
+    let out = Array.map unwrap (Pool.run ~jobs:4 (Array.init n (fun i () -> (b * 100) + i))) in
+    check (Alcotest.array tint)
+      (Printf.sprintf "batch %d in job order" b)
+      (Array.init n (fun i -> (b * 100) + i))
+      out
+  done
+
+(* inner jobs: a value, a persistent crash, and a transient one *)
+let inner_jobs k =
+  let tries = Atomic.make 0 in
+  [|
+    (fun () -> k * 10);
+    (fun () -> failwith (Printf.sprintf "inner %d" k));
+    (fun () -> if Atomic.fetch_and_add tries 1 = 0 then failwith "transient" else k);
+  |]
+
+let test_pool_nested_run_is_inline () =
+  (* a job that calls the pool while its own batch runs gets exactly the
+     [jobs = 1] outcomes, without deadlocking on the busy pool *)
+  let outer =
+    Pool.run ~jobs:2 (Array.init 6 (fun k () -> (Pool.run ~jobs:2 (inner_jobs k), k)))
+  in
+  Array.iteri
+    (fun k (o : (int Pool.outcome array * int) Pool.outcome) ->
+      match o.Pool.value with
+      | Ok (nested, k') ->
+          check tint "outer order" k k';
+          check tbool
+            (Printf.sprintf "job %d: nested outcomes = jobs 1 outcomes" k)
+            true
+            (nested = Pool.run ~jobs:1 (inner_jobs k))
+      | Error m -> Alcotest.failf "outer job %d failed: %s" k m)
+    outer
+
+let test_pool_concurrent_systhreads () =
+  (* two systhreads share the pool: whichever finds a batch running runs
+     inline, and both always get their own outcomes in job order *)
+  let failures = Atomic.make 0 in
+  let client base () =
+    for b = 1 to 100 do
+      let n = 1 + (b mod 7) in
+      let out =
+        Pool.run ~jobs:2 (Array.init n (fun i () -> base + (b * 10) + i))
+      in
+      let expect = Array.init n (fun i -> base + (b * 10) + i) in
+      if Array.map (fun (o : int Pool.outcome) -> o.Pool.value) out
+         <> Array.map (fun v -> Ok v) expect
+      then Atomic.incr failures
+    done
+  in
+  let a = Thread.create (client 100_000) () and b = Thread.create (client 200_000) () in
+  Thread.join a;
+  Thread.join b;
+  check tint "every batch of both threads correct" 0 (Atomic.get failures)
 
 (* --- cache --------------------------------------------------------------- *)
 
@@ -235,6 +295,44 @@ let test_disk_cache_gc_and_clear () =
       | Some d -> check tint "clear empties the store" 0 d.Cache.entries
       | None -> Alcotest.fail "enabled")
 
+let test_disk_cache_parallel_campaign () =
+  (* a cold campaign on 4 workers reaches the disk tier from worker
+     domains: it must store one baseline bundle per (workload, strategy),
+     and a later process must read the store back identically at any
+     job count *)
+  with_disk_cache (fun dir ->
+      let workloads =
+        List.filter
+          (fun (w : Campaign.workload) -> List.mem w.Campaign.wname [ "fir"; "dct" ])
+          (Campaign.bundled ())
+      in
+      let sweep jobs =
+        Cache.reset_memory ();
+        let config = { Campaign.default_config with Campaign.jobs = Some jobs } in
+        let classes = Campaign.render_classes (Campaign.run ~config workloads) in
+        (classes, Cache.stats ())
+      in
+      let cold, _ = sweep 4 in
+      let entries prefix =
+        List.length
+          (List.filter
+             (fun f -> String.length f > String.length prefix
+                       && String.sub f 0 (String.length prefix) = prefix)
+             (Array.to_list (Sys.readdir dir)))
+      in
+      check tint "one campaign-base blob per (workload, strategy)"
+        (List.length workloads * List.length Campaign.default_strategies)
+        (entries "campaign-base-");
+      let warm1, s1 = sweep 1 in
+      let warm4, s4 = sweep 4 in
+      check tstr "warm jobs 1 classes = cold" cold warm1;
+      check tstr "warm jobs 4 classes = cold" cold warm4;
+      check tint "every entry read back" (entries "") s1.Cache.disk_hits;
+      check tint "no disk miss when warm" 0 s1.Cache.disk_misses;
+      check tint "same disk hits at jobs 1 and 4" s1.Cache.disk_hits s4.Cache.disk_hits;
+      check tint "same disk misses at jobs 1 and 4" s1.Cache.disk_misses
+        s4.Cache.disk_misses)
+
 (* --- end-to-end determinism ---------------------------------------------- *)
 
 (* dune runtest runs tests from the test dir; dune exec from the root —
@@ -280,6 +378,11 @@ let () =
             test_pool_retry_recovers_transient_crash;
           Alcotest.test_case "serial matches parallel" `Quick
             test_pool_serial_matches_parallel;
+          Alcotest.test_case "500 back-to-back batches" `Quick
+            test_pool_back_to_back_batches;
+          Alcotest.test_case "nested run is inline" `Quick test_pool_nested_run_is_inline;
+          Alcotest.test_case "concurrent systhreads" `Quick
+            test_pool_concurrent_systhreads;
         ] );
       ( "cache",
         [
@@ -291,6 +394,9 @@ let () =
         ] );
       ( "disk",
         [
+          (* first: the first disk access of the process happens on workers *)
+          Alcotest.test_case "parallel campaign stores and reloads" `Quick
+            test_disk_cache_parallel_campaign;
           Alcotest.test_case "warm hit across processes" `Quick
             test_disk_cache_warm_hit_across_processes;
           Alcotest.test_case "blob round-trip" `Quick test_disk_cache_blob_roundtrip;

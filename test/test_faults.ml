@@ -517,6 +517,50 @@ let test_campaign_static_prefilter_prunes () =
   check tbool "json reports the pruned count" true
     (has_sub ~sub:"\"pruned_static\"" (Json.to_string (Campaign.json_of fork)))
 
+(* The plan runs as pool batches on [config.jobs] workers: on the
+   bundled sweep the compile cache must see the same hits and misses
+   (one miss per distinct front) and the classification map must be the
+   same at every job count. *)
+let test_campaign_plan_deterministic () =
+  let ws = Campaign.bundled () in
+  let sweep jobs =
+    Exec.Cache.reset_memory ();
+    let config = { Campaign.default_config with Campaign.jobs = Some jobs } in
+    let classes = Campaign.render_classes (Campaign.run ~config ws) in
+    let s = Exec.Cache.stats () in
+    (classes, s.Exec.Cache.hits, s.Exec.Cache.misses)
+  in
+  let reference, _, _ = sweep 1 in
+  List.iter
+    (fun jobs ->
+      let classes, hits, misses = sweep jobs in
+      check tint (Printf.sprintf "cache hits at jobs %d" jobs) 44 hits;
+      check tint (Printf.sprintf "cache misses at jobs %d" jobs) 20 misses;
+      check Alcotest.string (Printf.sprintf "classes at jobs %d" jobs) reference classes)
+    [ 1; 2; 4 ]
+
+(* A plan step that fails re-raises its own exception, from the lowest
+   failing workload, whatever the job count. *)
+let test_campaign_plan_failure_same_at_any_jobs () =
+  let starved name =
+    (* four reads, two tokens: software simulation never completes *)
+    let w = micro_workload () in
+    {
+      w with
+      Campaign.wname = name;
+      options = { w.Campaign.options with Driver.feeds = [ ("s_in", [ 1L; 2L ]) ] };
+    }
+  in
+  let ws = [ micro_workload (); starved "starved1"; starved "starved2" ] in
+  let raised jobs =
+    match Campaign.run ~config:{ Campaign.default_config with Campaign.jobs = Some jobs } ws with
+    | _ -> Alcotest.failf "jobs %d: a starved workload must not plan" jobs
+    | exception Invalid_argument m -> m
+  in
+  let serial = raised 1 in
+  check tbool "names the first starved workload" true (has_sub ~sub:"starved1" serial);
+  check Alcotest.string "same exception at jobs 2" serial (raised 2)
+
 (* --- notification routing ------------------------------------------------------ *)
 
 let two_proc_source =
@@ -616,6 +660,10 @@ let () =
             test_campaign_prune_hangs_identity;
           Alcotest.test_case "static pre-filter prunes" `Quick
             test_campaign_static_prefilter_prunes;
+          Alcotest.test_case "plan deterministic across jobs" `Quick
+            test_campaign_plan_deterministic;
+          Alcotest.test_case "plan failure same at any jobs" `Quick
+            test_campaign_plan_failure_same_at_any_jobs;
         ] );
       ( "notify",
         [

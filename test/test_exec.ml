@@ -315,10 +315,7 @@ let test_disk_cache_parallel_campaign () =
       let cold, _ = sweep 4 in
       let entries prefix =
         List.length
-          (List.filter
-             (fun f -> String.length f > String.length prefix
-                       && String.sub f 0 (String.length prefix) = prefix)
-             (Array.to_list (Sys.readdir dir)))
+          (List.filter (String.starts_with ~prefix) (Array.to_list (Sys.readdir dir)))
       in
       check tint "one campaign-base blob per (workload, strategy)"
         (List.length workloads * List.length Campaign.default_strategies)

@@ -73,3 +73,46 @@ let rec eval_slots (slots : int64 array) (x : expr) : int64 =
 
 (** True when the assertion holds for the given slot values. *)
 let holds (cond : expr) (slots : int64 array) = Value.to_bool (eval_slots slots cond)
+
+(* [eval_slots] with the tree walked once: slot names are resolved and
+   literals canonicalized here, and every failure [eval_slots] would
+   raise is deferred to evaluation. *)
+let rec compile_expr (x : expr) : int64 array -> int64 =
+  let fail e = fun _ -> raise e in
+  match x.e with
+  | Int n -> (
+      match Value.wrap_ty x.ety n with v -> fun _ -> v | exception e -> fail e)
+  | Bool b ->
+      let v = Value.of_bool b in
+      fun _ -> v
+  | Var name -> (
+      let free = Invalid_argument (Printf.sprintf "eval_slots: free variable %s" name) in
+      match slot_index name with
+      | Some k -> fun slots -> if k < Array.length slots then slots.(k) else raise free
+      | None -> fail free)
+  | Index _ -> fail (Invalid_argument "eval_slots: array access must be a slot")
+  | Unop (op, a) ->
+      let ty = a.ety and a = compile_expr a in
+      fun s -> Value.unop op ty (a s)
+  | Binop (Land, a, b) ->
+      let a = compile_expr a and b = compile_expr b in
+      fun s -> if Value.to_bool (a s) then b s else 0L
+  | Binop (Lor, a, b) ->
+      let a = compile_expr a and b = compile_expr b in
+      fun s -> if Value.to_bool (a s) then 1L else b s
+  | Binop (op, a, b) -> (
+      let ty = a.ety and a = compile_expr a and b = compile_expr b in
+      fun s ->
+        (* operands in [eval_slots]'s order: right first *)
+        let vb = b s in
+        match Value.binop op ty (a s) vb with
+        | v -> v
+        | exception Value.Division_by_zero -> 0L)
+  | Cast (ty, a) ->
+      let from_ty = a.ety and a = compile_expr a in
+      fun s -> Value.cast ~from_ty ~to_ty:ty (a s)
+  | Call _ -> fail (Invalid_argument "eval_slots: external calls must be slots")
+
+let compile (cond : expr) : int64 array -> bool =
+  let c = compile_expr cond in
+  fun slots -> Value.to_bool (c slots)

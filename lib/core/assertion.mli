@@ -35,3 +35,9 @@ val eval_slots : int64 array -> Front.Ast.expr -> int64
 
 (** True when the assertion holds for the given slot values. *)
 val holds : Front.Ast.expr -> int64 array -> bool
+
+(** [compile cond] is [holds cond] with the condition walked once: slot
+    indices are resolved up front, so evaluating the closure does no
+    name parsing.  A variable that is not a slot of the evaluated array
+    still raises [Invalid_argument] at evaluation, not here. *)
+val compile : Front.Ast.expr -> int64 array -> bool

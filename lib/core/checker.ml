@@ -67,7 +67,7 @@ let build ~(prog : program) ~(plan : Share.plan) ?(latency_override : int option
     {
       Sim.Engine.cid = id;
       latency;
-      eval = Assertion.holds spec.Parallelize.cond;
+      eval = Assertion.compile spec.Parallelize.cond;
       channel;
       code = word;
     }

@@ -6,15 +6,18 @@
     the paper's Figure 3 bug.  Reads return pre-cycle contents; stores
     are staged and applied by {!commit} (mixed-port read-during-write on
     a Stratix-II returns old data).  Per-cycle port usage is tracked so
-    the engine can verify the scheduler's port guarantees at runtime. *)
+    the engine can verify the scheduler's port guarantees at runtime.
+    Cells and staged values are 64-bit words (native byte order). *)
 
 type t = {
   name : string;
   logical_length : int;          (** the C array's declared length *)
-  data : int64 array;            (** padded to a power of two *)
+  data : Bytes.t;                (** words, padded to a power of two *)
   mask : int;
   ports : int;
-  mutable staged : (int * int64) list;
+  mutable staged_addr : int array;  (** staged write addresses, program order *)
+  mutable staged_word : Bytes.t;    (** their words *)
+  mutable nstaged : int;            (** staged writes this cycle *)
   mutable accesses_this_cycle : int;
   mutable port_violations : int;
   mutable reads : int;
@@ -37,8 +40,8 @@ val write : t -> int64 -> int64 -> unit
     replica's dedicated write port, so no port accounting. *)
 val mirror_write : t -> int64 -> int64 -> unit
 
-(** End of cycle: apply staged writes in program order, reset the
-    per-cycle port counter. *)
+(** End of cycle: apply staged writes in program order (the last write
+    to an address wins), reset the per-cycle port counter. *)
 val commit : t -> unit
 
 (** Testbench access without port accounting. *)
@@ -49,6 +52,8 @@ val poke : t -> int -> int64 -> unit
 (** Deep copy (engine snapshots). *)
 val copy : t -> t
 
-(** Overwrite a live RAM's state from a saved copy; the copy is left
-    untouched, so one snapshot can seed many restores. *)
+(** Overwrite a live RAM's state, staged writes included, from a saved
+    copy; the copy is left untouched, so one snapshot can seed many
+    restores.
+    @raise Invalid_argument when the physical sizes differ. *)
 val restore : t -> saved:t -> unit

@@ -163,8 +163,12 @@ type snapshot
 val snapshot : t -> snapshot
 
 (** Overwrite the engine's state with the snapshot's.  The snapshot is
-    never aliased: one snapshot can seed many runs.
-    @raise Sim_failure on a shape mismatch (wrong design). *)
+    never aliased: one snapshot can seed many runs.  The snapshot's
+    shape is checked before any state is touched: stream names and
+    depths, process count, register files, BRAM names and sizes, and
+    the pipe index.
+    @raise Sim_failure ["snapshot restore: ... mismatch"] when the
+    snapshot comes from another design. *)
 val restore : t -> snapshot -> unit
 
 (** [arm t params] patches named registers in place, using the same

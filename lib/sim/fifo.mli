@@ -3,14 +3,20 @@
     Writes performed during a cycle become visible to readers one cycle
     later (the FIFO is registered, as an M4K-based scfifo is): {!push}
     stages the value and {!commit} — called once at the end of every
-    simulation cycle — moves staged values into the visible queue.
-    Occupancy statistics feed the paper-style overhead reports. *)
+    simulation cycle — makes staged values visible.  Occupancy
+    statistics feed the paper-style overhead reports.
+
+    The values live in a ring of [depth] 64-bit words (native byte
+    order): [count] committed values from [head], then [staged] values
+    pushed this cycle. *)
 
 type t = {
   name : string;
   depth : int;                   (** capacity in elements *)
-  q : int64 Queue.t;             (** committed (visible) values *)
-  staged : int64 Queue.t;        (** values pushed this cycle *)
+  ring : Bytes.t;                (** [depth] words *)
+  mutable head : int;            (** ring index of the oldest committed value *)
+  mutable count : int;           (** committed (visible) values *)
+  mutable staged : int;          (** values pushed this cycle *)
   mutable pushes : int;
   mutable pops : int;
   mutable max_occupancy : int;
@@ -38,7 +44,7 @@ val pop : t -> int64
 val peek : t -> int64 option
 
 (** End of cycle: staged values become visible; occupancy statistics
-    update. *)
+    update.  Returns at once when nothing is staged. *)
 val commit : t -> unit
 
 (** Values still enqueued, oldest first (committed before staged). *)
@@ -48,5 +54,6 @@ val contents : t -> int64 list
 val copy : t -> t
 
 (** Overwrite a live FIFO's state from a saved copy; the copy is left
-    untouched, so one snapshot can seed many restores. *)
+    untouched, so one snapshot can seed many restores.
+    @raise Invalid_argument when the depths differ. *)
 val restore : t -> saved:t -> unit

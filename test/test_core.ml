@@ -70,6 +70,72 @@ let eval_slots_matches_interp =
       in
       holds = expected)
 
+(* --- Compiled checker conditions ---------------------------------------------- *)
+
+(* dune runtest runs from _build/default/test; dune exec from the root *)
+let example path =
+  List.find Sys.file_exists [ Filename.concat ".." path; path; Filename.concat "../.." path ]
+
+(* Every parallelized assertion condition of the bundled applications
+   and the torture corpus, with its slot count. *)
+let checker_conds =
+  lazy
+    (let corpus =
+       List.map
+         (fun path ->
+           Typecheck.parse_and_check ~file:(Filename.basename path)
+             (Torture.Corpus.load path).Torture.Corpus.source)
+         (Torture.Corpus.files (example Torture.Corpus.default_dir))
+     in
+     List.concat_map
+       (fun prog ->
+         let _, specs = Core.Parallelize.transform prog in
+         List.map
+           (fun (s : Core.Parallelize.checker_spec) ->
+             (s.Core.Parallelize.cond, List.length s.Core.Parallelize.slots))
+           specs)
+       (List.map (fun (w : Campaign.workload) -> w.Campaign.program) (Campaign.bundled ())
+       @ corpus))
+
+let word_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, oneofl [ 0L; 1L; -1L; 2L; 255L; 4095L; 0x7fffffffL; -0x80000000L; 0xffffffffL;
+                     Int64.max_int; Int64.min_int ]);
+        (3, map Int64.of_int small_signed_int);
+        (2, ui64);
+      ])
+
+(* Both evaluators on the same slots: equal verdicts, or the same
+   [Invalid_argument]. *)
+let same_verdict cond slots =
+  let run f = match f () with b -> Ok b | exception Invalid_argument m -> Error m in
+  let compiled = Core.Assertion.compile cond in
+  run (fun () -> compiled slots) = run (fun () -> Core.Assertion.holds cond slots)
+
+let compiled_checker_matches_eval_slots =
+  QCheck.Test.make ~count:100 ~name:"compiled checker condition = eval_slots"
+    (QCheck.make QCheck.Gen.(list_repeat 16 word_gen))
+    (fun words ->
+      let words = Array.of_list words in
+      List.for_all
+        (fun (cond, n) ->
+          let n = min n (Array.length words) in
+          (* one slot short exercises the deferred free-variable error *)
+          same_verdict cond (Array.sub words 0 n)
+          && (n = 0 || same_verdict cond (Array.sub words 0 (n - 1))))
+        (Lazy.force checker_conds))
+
+let test_compile_defers_free_variable () =
+  let prog = elab "process hw m() { int32 x; x = 1; assert(x > 0); }" in
+  let cond = (List.hd (Core.Assertion.extract prog)).Core.Assertion.cond in
+  (* [x] is not a slot: building succeeds, evaluating raises *)
+  let compiled = Core.Assertion.compile cond in
+  check tbool "raises Invalid_argument at evaluation" true
+    (match compiled [| 1L |] with _ -> false | exception Invalid_argument _ -> true);
+  check tbool "the corpus has conditions" true (Lazy.force checker_conds <> [])
+
 (* --- Parallelize ------------------------------------------------------------- *)
 
 let test_parallelize_slots_dedup () =
@@ -627,6 +693,9 @@ let () =
           Alcotest.test_case "ANSI message" `Quick test_message_format;
           Alcotest.test_case "hardware only" `Quick test_sw_procs_not_extracted;
           QCheck_alcotest.to_alcotest eval_slots_matches_interp;
+          QCheck_alcotest.to_alcotest compiled_checker_matches_eval_slots;
+          Alcotest.test_case "compiled condition defers free variables" `Quick
+            test_compile_defers_free_variable;
         ] );
       ( "parallelize",
         [

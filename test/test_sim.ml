@@ -71,6 +71,87 @@ let fifo_order_prop =
       done;
       List.rev !out = values)
 
+(* The ring FIFO against a two-queue model (committed, staged) under
+   random push / pop / commit traffic at depths 1-5, so the ring wraps;
+   [Snap] and [Restore] exercise copy/restore mid-wrap. *)
+type fifo_op = Push of int64 | Pop | Commit | Snap | Restore
+
+let fifo_op_gen =
+  QCheck.Gen.(
+    frequency
+      [ (4, map (fun v -> Push v) ui64); (3, return Pop); (2, return Commit); (1, return Snap);
+        (1, return Restore) ])
+
+let fifo_op_print = function
+  | Push v -> Printf.sprintf "push %Ld" v
+  | Pop -> "pop"
+  | Commit -> "commit"
+  | Snap -> "snap"
+  | Restore -> "restore"
+
+type fifo_model = {
+  m_q : int64 Queue.t;
+  m_staged : int64 Queue.t;
+  mutable m_pushes : int;
+  mutable m_pops : int;
+  mutable m_max : int;
+}
+
+let model_copy m = { m with m_q = Queue.copy m.m_q; m_staged = Queue.copy m.m_staged }
+
+let fifo_ring_model_prop =
+  QCheck.Test.make ~count:300 ~name:"ring fifo = queue model (wrap, copy/restore)"
+    QCheck.(
+      pair (int_range 1 5)
+        (make ~print:(Print.list fifo_op_print) Gen.(list_size (int_range 0 60) fifo_op_gen)))
+    (fun (depth, ops) ->
+      let f = Fifo.create ~name:"t" ~depth in
+      let m =
+        ref { m_q = Queue.create (); m_staged = Queue.create (); m_pushes = 0; m_pops = 0; m_max = 0 }
+      in
+      let saved = ref None in
+      let agrees () =
+        let m = !m in
+        let occ = Queue.length m.m_q + Queue.length m.m_staged in
+        Fifo.contents f = List.of_seq (Queue.to_seq m.m_q) @ List.of_seq (Queue.to_seq m.m_staged)
+        && Fifo.occupancy f = occ
+        && Fifo.can_push f = (occ < depth)
+        && Fifo.can_pop f = not (Queue.is_empty m.m_q)
+        && Fifo.peek f = Queue.peek_opt m.m_q
+        && f.Fifo.max_occupancy = m.m_max
+        && f.Fifo.pushes = m.m_pushes
+        && f.Fifo.pops = m.m_pops
+      in
+      List.for_all
+        (fun op ->
+          let m' = !m in
+          (match op with
+          | Push v ->
+              if Fifo.can_push f then begin
+                Fifo.push f v;
+                Queue.add v m'.m_staged;
+                m'.m_pushes <- m'.m_pushes + 1
+              end
+          | Pop ->
+              if Fifo.can_pop f then begin
+                let v = Fifo.pop f in
+                assert (v = Queue.pop m'.m_q);
+                m'.m_pops <- m'.m_pops + 1
+              end
+          | Commit ->
+              Fifo.commit f;
+              Queue.transfer m'.m_staged m'.m_q;
+              m'.m_max <- max m'.m_max (Queue.length m'.m_q)
+          | Snap -> saved := Some (Fifo.copy f, model_copy m')
+          | Restore -> (
+              match !saved with
+              | Some (sf, sm) ->
+                  Fifo.restore f ~saved:sf;
+                  m := model_copy sm
+              | None -> ()));
+          agrees ())
+        ops)
+
 (* --- Bram -------------------------------------------------------------------- *)
 
 let test_bram_rdw_old_data () =
@@ -106,6 +187,192 @@ let test_bram_mirror_write_no_port () =
   let b = Bram.create ~name:"m" ~length:4 ~ports:1 () in
   Bram.mirror_write b 0L 1L;
   check tint "mirror write uses hidden port" 0 b.Bram.accesses_this_cycle
+
+(* More staged writes than the initial staging capacity, with repeated
+   addresses: applied in program order, so the last write wins; a
+   restore carries pending writes along and replaces the target's. *)
+let test_bram_staged_program_order () =
+  let tint64s = Alcotest.(list int64) in
+  let b = Bram.create ~name:"m" ~length:4 ~ports:8 () in
+  List.iter
+    (fun (a, v) -> Bram.write b a v)
+    [ (0L, 1L); (1L, 2L); (0L, 3L); (2L, 4L); (1L, 5L); (3L, 6L); (0L, 7L) ];
+  Bram.mirror_write b 2L 8L;
+  let saved = Bram.copy b in
+  Bram.commit b;
+  check tint64s "last write in program order wins" [ 7L; 5L; 8L; 6L ] (List.init 4 (Bram.peek b));
+  let other = Bram.create ~name:"m" ~length:4 ~ports:8 () in
+  Bram.write other 3L 99L;
+  Bram.restore other ~saved;
+  check tint64s "staged writes invisible before commit" [ 0L; 0L; 0L; 0L ]
+    (List.init 4 (Bram.peek other));
+  Bram.commit other;
+  check tint64s "restored pending writes apply, the target's are gone" [ 7L; 5L; 8L; 6L ]
+    (List.init 4 (Bram.peek other));
+  check tint "the saved copy still holds its writes" 8 saved.Bram.nstaged;
+  check tint "commit empties the staging" 0 other.Bram.nstaged
+
+(* --- Fused ALU vs Value ---------------------------------------------------------- *)
+
+(* The engine compiles every ALU instruction to its own word closure;
+   [Value] stays the definition of scalar semantics.  Each instruction
+   runs once in a hand-built design — a sequential state (overlay
+   reads and writes) or the body of a one-iteration pipelined loop
+   (iteration-view reads and writes) — and a tap on its destination
+   reports the word it produced. *)
+module Ir = Mir.Ir
+module Fsmd = Hls.Fsmd
+module Value = Interp.Value
+
+let alu_tys =
+  Ast.Tbool
+  :: List.concat_map
+       (fun s -> List.map (fun w -> Ast.Tint (s, w)) Ast.[ W1; W8; W16; W32; W64 ])
+       Ast.[ Signed; Unsigned ]
+
+(* Operand registers r0/r1 (initialized through params), the
+   destination r2 (64-bit, so no wrap hides a wrong word), the pipe's
+   issue condition r3. *)
+let alu_run ~pipe ~ta ~tb ~x ~y inst =
+  let info rty origin = { Ir.rty; origin } in
+  let proc =
+    {
+      Ir.name = "alu";
+      kind = Ast.Hardware;
+      regs =
+        [ (0, info ta (Some "a")); (1, info tb (Some "b")); (2, info Ast.int64_t None);
+          (3, info Ast.Tbool (Some "go")) ];
+      mems = [];
+      body = [];
+    }
+  in
+  let ops = [ Ir.unguarded inst; Ir.unguarded (Ir.Tap { id = 0; args = [ Ir.Reg 2 ] }) ] in
+  let state ops next = { Fsmd.ops; next; chain_ns = 0.0 } in
+  let fsmd =
+    if pipe then
+      {
+        Fsmd.proc;
+        states = [| state [] (Fsmd.Enter_pipe 0); state [] Fsmd.Done |];
+        pipes =
+          [|
+            {
+              Fsmd.ii = 1;
+              depth = 1;
+              cond_insts = [];
+              cond = 3;
+              step_insts =
+                [ Ir.unguarded (Ir.Copy { dst = 3; src = Ir.Imm 0L; ty = Ast.Tbool }) ];
+              cycle_ops = [| ops |];
+              exit_to = 1;
+              pipe_chain_ns = 0.0;
+            };
+          |];
+        entry = 0;
+        max_chain_ns = 0.0;
+      }
+    else
+      { Fsmd.proc; states = [| state ops Fsmd.Done |]; pipes = [||]; entry = 0; max_chain_ns = 0.0 }
+  in
+  let seen = ref None in
+  let cfg =
+    {
+      Engine.default_config with
+      max_cycles = 20;
+      params = [ ("alu", [ ("a", x); ("b", y); ("go", 1L) ]) ];
+      on_tap = Some (fun _ _ vals -> seen := Some vals.(0));
+    }
+  in
+  let r = Engine.simulate ~cfg ~streams:[] ~fsmds:[ fsmd ] () in
+  match (r.Engine.outcome, !seen) with
+  | Engine.Finished, Some v -> Ok v
+  | Engine.Sim_error m, _ -> Error m
+  | _ -> Error "no tap"
+
+(* The word an operand reads: an immediate as is, a register at its
+   type's canonical value. *)
+let operand_word ~imm ty v = if imm then v else Value.wrap_ty ty v
+
+let alu_binops =
+  Ast.[ Add; Sub; Mul; Div; Mod; Shl; Shr; Lt; Le; Gt; Ge; Eq; Ne; Band; Bor; Bxor; Land; Lor ]
+
+(* Boundary words at every width: 0, +-1, signed min/max, unsigned max,
+   shift amounts at and past the width, min_int. *)
+let boundary_words =
+  List.sort_uniq compare
+    (0L :: 1L :: -1L :: Int64.min_int :: Int64.max_int
+    :: List.concat_map
+         (fun n ->
+           let p = Int64.shift_left 1L (n - 1) in
+           [ Int64.neg p; Int64.pred p; Int64.pred (Int64.shift_left p 1); Int64.of_int n;
+             Int64.of_int (n - 1); Int64.of_int (n + 1); Int64.of_int (2 * n) ])
+         [ 1; 8; 16; 32; 64 ])
+
+let alu_word_gen =
+  QCheck.Gen.(frequency [ (3, oneofl boundary_words); (1, ui64); (1, map Int64.of_int small_signed_int) ])
+
+let alu_matches_value =
+  QCheck.Test.make ~count:40 ~name:"fused ALU = Value (every op, width, signedness)"
+    QCheck.(
+      make
+        ~print:(fun (x, y, ia, ib, pipe) ->
+          Printf.sprintf "x=%Ld y=%Ld imm_a=%b imm_b=%b pipe=%b" x y ia ib pipe)
+        Gen.(tup5 alu_word_gen alu_word_gen bool bool bool))
+    (fun (x, y, imm_a, imm_b, pipe) ->
+      let opnd imm r v = if imm then Ir.Imm v else Ir.Reg r in
+      let run ~ta ~tb inst = alu_run ~pipe ~ta ~tb ~x ~y inst in
+      let expect f = match f () with v -> Ok v | exception Value.Division_by_zero -> Error "division by zero (r2)" in
+      let agree name got want =
+        got = want
+        || QCheck.Test.fail_reportf "%s: engine %s, Value %s" name
+             (match got with Ok v -> Int64.to_string v | Error m -> m)
+             (match want with Ok v -> Int64.to_string v | Error m -> m)
+      in
+      List.for_all
+        (fun ty ->
+          let wa = operand_word ~imm:imm_a ty x and wb = operand_word ~imm:imm_b ty y in
+          let a = opnd imm_a 0 x and b = opnd imm_b 1 y in
+          List.for_all
+            (fun op ->
+              agree (Ast.show_binop op ^ " " ^ Ast.show_ty ty)
+                (run ~ta:ty ~tb:ty (Ir.Bin { dst = 2; op; a; b; ty }))
+                (expect (fun () -> Value.binop op ty wa wb)))
+            alu_binops
+          && List.for_all
+               (fun op ->
+                 agree (Ast.show_unop op ^ " " ^ Ast.show_ty ty)
+                   (run ~ta:ty ~tb:ty (Ir.Un { dst = 2; op; a; ty }))
+                   (expect (fun () -> Value.unop op ty wa)))
+               Ast.[ Neg; Bnot; Lnot ]
+          && agree ("copy " ^ Ast.show_ty ty)
+               (run ~ta:ty ~tb:ty (Ir.Copy { dst = 2; src = a; ty }))
+               (expect (fun () -> Value.wrap_ty ty wa))
+          && List.for_all
+               (fun to_ty ->
+                 agree ("cast to " ^ Ast.show_ty to_ty ^ " from " ^ Ast.show_ty ty)
+                   (run ~ta:ty ~tb:ty (Ir.Castop { dst = 2; src = a; from_ty = ty; to_ty }))
+                   (expect (fun () -> Value.cast ~from_ty:ty ~to_ty wa)))
+               alu_tys)
+        alu_tys)
+
+let test_alu_edge_cases () =
+  let run ?(pipe = false) ty op x y =
+    alu_run ~pipe ~ta:ty ~tb:ty ~x ~y
+      (Ir.Bin { dst = 2; op; a = Ir.Imm x; b = Ir.Imm y; ty })
+  in
+  let i32 = Ast.Tint (Ast.Signed, Ast.W32) and u8 = Ast.Tint (Ast.Unsigned, Ast.W8) in
+  List.iter
+    (fun pipe ->
+      check tbool "min_int / -1 wraps" true (run ~pipe Ast.int64_t Ast.Div Int64.min_int (-1L) = Ok Int64.min_int);
+      check tbool "int32 min / -1 wraps" true (run ~pipe i32 Ast.Div (-0x80000000L) (-1L) = Ok (-0x80000000L));
+      check tbool "min_int mod -1" true (run ~pipe Ast.int64_t Ast.Mod Int64.min_int (-1L) = Ok 0L);
+      check tbool "division by zero names the register" true
+        (run ~pipe i32 Ast.Div 7L 0L = Error "division by zero (r2)");
+      check tbool "modulo by zero names the register" true
+        (run ~pipe u8 Ast.Mod 7L 0L = Error "division by zero (r2)");
+      check tbool "shift amount past the width" true (run ~pipe u8 Ast.Shl 1L 9L = Ok 0L);
+      check tbool "unsigned shift of a non-canonical word" true
+        (run ~pipe u8 Ast.Shr (-1L) 4L = Ok 15L))
+    [ false; true ]
 
 (* --- Engine basics -------------------------------------------------------------- *)
 
@@ -237,6 +504,47 @@ let test_restore_resolved_state () =
       (List.filter (fun (s : Faults.Fault.site) -> s.Faults.Fault.s_padded) inst.Faults.Fault.ip_sites)
   in
   check tbool "some armed pad changes the run" true (changing <> [])
+
+(* A snapshot restored into an engine built for another design is
+   refused with a [Sim_failure] naming the mismatch, before any state
+   is touched: the refused engine still runs exactly like a fresh one. *)
+let test_restore_shape_mismatch () =
+  let options = snapshot_options 12 in
+  let engine src =
+    (Core.Driver.prepare ~options (compile src Core.Driver.optimized)).Core.Driver.ses_engine
+  in
+  let a = engine snapshot_src in
+  ignore (Engine.run_until a ~cycle:10);
+  let snap = Engine.snapshot a in
+  let b_variant ~sub ~by = replace_once ~sub ~by snapshot_src in
+  let rename_mem =
+    replace_once ~sub:"acc[i % 4] = acc[i % 4]" ~by:"bcc[i % 4] = bcc[i % 4]"
+      (replace_once ~sub:"stream_write(out, acc" ~by:"stream_write(out, bcc"
+         (b_variant ~sub:"int32 acc[4]" ~by:"int32 bcc[4]"))
+  in
+  List.iter
+    (fun (name, src, want) ->
+      let fresh = Engine.run (engine src) in
+      let b = engine src in
+      let got =
+        match Engine.restore b snap with
+        | () -> "restored"
+        | exception Engine.Sim_failure m -> m
+      in
+      check Alcotest.string name want got;
+      check tbool (name ^ ": refused engine runs like a fresh one") true (Engine.run b = fresh))
+    [
+      ( "stream depth",
+        b_variant ~sub:"stream int32 inp depth 8" ~by:"stream int32 inp depth 4",
+        "snapshot restore: stream inp mismatch" );
+      ("memory name", rename_mem, "snapshot restore: memory acc mismatch");
+      ( "memory size",
+        b_variant ~sub:"int32 acc[4]" ~by:"int32 acc[16]",
+        "snapshot restore: memory acc mismatch" );
+      ( "no pipelined loop",
+        b_variant ~sub:"#pragma pipeline" ~by:"",
+        "snapshot restore: pipe index mismatch" );
+    ]
 
 (* --- Cycle-exact pins ------------------------------------------------------------ *)
 
@@ -1135,6 +1443,7 @@ let () =
           Alcotest.test_case "capacity" `Quick test_fifo_capacity;
           Alcotest.test_case "stats" `Quick test_fifo_stats;
           QCheck_alcotest.to_alcotest fifo_order_prop;
+          QCheck_alcotest.to_alcotest fifo_ring_model_prop;
         ] );
       ( "bram",
         [
@@ -1143,6 +1452,8 @@ let () =
           Alcotest.test_case "port accounting" `Quick test_bram_port_accounting;
           Alcotest.test_case "ROM init" `Quick test_bram_init;
           Alcotest.test_case "mirror write port" `Quick test_bram_mirror_write_no_port;
+          Alcotest.test_case "staged writes in program order" `Quick
+            test_bram_staged_program_order;
         ] );
       ( "snapshot",
         [
@@ -1150,8 +1461,14 @@ let () =
           Alcotest.test_case "deep copy" `Quick test_snapshot_is_deep;
           Alcotest.test_case "restore re-derives resolved state" `Quick
             test_restore_resolved_state;
+          Alcotest.test_case "restore refuses another design" `Quick test_restore_shape_mismatch;
         ] );
       ("pins", [ Alcotest.test_case "cycle-exact bundled results" `Quick test_cycle_exact_pins ]);
+      ( "alu",
+        [
+          QCheck_alcotest.to_alcotest alu_matches_value;
+          Alcotest.test_case "division and shift edge cases" `Quick test_alu_edge_cases;
+        ] );
       ( "engine",
         [
           Alcotest.test_case "basic dataflow" `Quick test_engine_basic_dataflow;

@@ -21,18 +21,24 @@ let node_of (l : lit) = l lsr 1
 let compl_of (l : lit) = l land 1 = 1
 
 (* Fanins of an AND node; a primary input has [fan0 = -1].  Node 0 is
-   the constant-true node (also [fan0 = -1]). *)
+   the constant-true node (also [fan0 = -1]).
+
+   The structural hash is open-addressed: [table] holds node ids,
+   probed linearly from a multiplicative hash of the ordered fanin
+   pair.  A slot holding 0 is empty — node 0 is the constant, never an
+   AND.  The table is doubled once it is half full. *)
 type t = {
   mutable fan0 : int array;
   mutable fan1 : int array;
   mutable n : int;
-  cache : (int, int) Hashtbl.t;  (* (fan0, fan1) packed -> node *)
+  mutable table : int array;
+  mutable ands : int;  (* AND nodes in [table] *)
 }
 
 let create () =
   let cap = 1024 in
   { fan0 = Array.make cap (-1); fan1 = Array.make cap (-1); n = 1;
-    cache = Hashtbl.create 1024 }
+    table = Array.make (2 * cap) 0; ands = 0 }
 
 let num_nodes t = t.n
 
@@ -62,8 +68,25 @@ let alloc t a b =
 (** Fresh primary input; returns its (positive) literal. *)
 let new_input t : lit = 2 * alloc t (-1) (-1)
 
-(* Literal pairs fit one OCaml int comfortably: pack for the hash key. *)
-let pack a b = (a lsl 31) lor b
+(* Home slot of the fanin pair [(a, b)]: the high bits of a
+   multiplicative hash, masked to the (power-of-two) table size. *)
+let slot_of mask a b =
+  ((((a * 0x2545F4914F6CDD1D) + b) * 0x1E3779B97F4A7C15) lsr 29) land mask
+
+(* Double the table and reinsert every AND node. *)
+let rehash t =
+  let table = Array.make (2 * Array.length t.table) 0 in
+  let mask = Array.length table - 1 in
+  for v = 1 to t.n - 1 do
+    if t.fan0.(v) <> -1 then begin
+      let i = ref (slot_of mask t.fan0.(v) t.fan1.(v)) in
+      while table.(!i) <> 0 do
+        i := (!i + 1) land mask
+      done;
+      table.(!i) <- v
+    end
+  done;
+  t.table <- table
 
 let mk_and t (a : lit) (b : lit) : lit =
   if a = fls || b = fls then fls
@@ -73,13 +96,21 @@ let mk_and t (a : lit) (b : lit) : lit =
   else if a = neg b then fls
   else begin
     let a, b = if a <= b then (a, b) else (b, a) in
-    let key = pack a b in
-    match Hashtbl.find_opt t.cache key with
-    | Some v -> 2 * v
-    | None ->
-        let v = alloc t a b in
-        Hashtbl.add t.cache key v;
-        2 * v
+    let mask = Array.length t.table - 1 in
+    let i = ref (slot_of mask a b) in
+    let v = ref t.table.(!i) in
+    while !v <> 0 && not (t.fan0.(!v) = a && t.fan1.(!v) = b) do
+      i := (!i + 1) land mask;
+      v := t.table.(!i)
+    done;
+    if !v <> 0 then 2 * !v
+    else begin
+      let v = alloc t a b in
+      t.table.(!i) <- v;
+      t.ands <- t.ands + 1;
+      if 2 * t.ands > Array.length t.table then rehash t;
+      2 * v
+    end
   end
 
 let mk_or t a b = neg (mk_and t (neg a) (neg b))

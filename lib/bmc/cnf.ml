@@ -14,6 +14,7 @@ type t = {
   aig : Aig.t;
   solver : Sat.t;
   mutable map : int array;  (* AIG node -> SAT var, -1 if not yet encoded *)
+  mutable stack : int array;  (* scratch for [lit]'s cone walk *)
 }
 
 let create aig solver =
@@ -22,7 +23,7 @@ let create aig solver =
   let v = Sat.new_var solver in
   Sat.add_clause solver [ Sat.pos v ];
   map.(0) <- v;
-  { aig; solver; map }
+  { aig; solver; map; stack = Array.make 64 0 }
 
 let ensure_map t n =
   let cap = Array.length t.map in
@@ -37,36 +38,49 @@ let sat_lit_of t (l : Aig.lit) : Sat.lit =
   let v = t.map.(Aig.node_of l) in
   if Aig.compl_of l then Sat.negl v else Sat.pos v
 
-(** SAT literal for AIG literal [l], encoding its cone as needed. *)
+let push t sp n =
+  if sp = Array.length t.stack then begin
+    let s = Array.make (2 * sp) 0 in
+    Array.blit t.stack 0 s 0 sp;
+    t.stack <- s
+  end;
+  t.stack.(sp) <- n;
+  sp + 1
+
+(** SAT literal for AIG literal [l], encoding its cone as needed.
+
+    Depth-first over the cone with fan1's node visited before fan0's:
+    the visiting order fixes the SAT variable numbering, hence the
+    clause database and the search, so it must not change. *)
 let lit t (l : Aig.lit) : Sat.lit =
   ensure_map t (Aig.num_nodes t.aig);
-  let stack = ref [ Aig.node_of l ] in
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | n :: rest ->
-        if t.map.(n) <> -1 then stack := rest
-        else if Aig.is_input t.aig (2 * n) then begin
-          t.map.(n) <- Sat.new_var t.solver;
-          stack := rest
-        end
-        else begin
-          let f0 = t.aig.Aig.fan0.(n) and f1 = t.aig.Aig.fan1.(n) in
-          let n0 = Aig.node_of f0 and n1 = Aig.node_of f1 in
-          let missing = [] in
-          let missing = if t.map.(n0) = -1 then n0 :: missing else missing in
-          let missing = if t.map.(n1) = -1 then n1 :: missing else missing in
-          if missing <> [] then stack := missing @ !stack
-          else begin
-            let v = Sat.new_var t.solver in
-            t.map.(n) <- v;
-            let a = sat_lit_of t f0 and b = sat_lit_of t f1 in
-            Sat.add_clause t.solver [ Sat.negl v; a ];
-            Sat.add_clause t.solver [ Sat.negl v; b ];
-            Sat.add_clause t.solver [ Sat.pos v; Sat.neg a; Sat.neg b ];
-            stack := rest
-          end
-        end
+  let fan0 = t.aig.Aig.fan0 and fan1 = t.aig.Aig.fan1 and map = t.map in
+  let sp = ref (push t 0 (Aig.node_of l)) in
+  while !sp > 0 do
+    let n = t.stack.(!sp - 1) in
+    if map.(n) <> -1 then decr sp
+    else if fan0.(n) = -1 then begin
+      (* primary input *)
+      map.(n) <- Sat.new_var t.solver;
+      decr sp
+    end
+    else begin
+      let f0 = fan0.(n) and f1 = fan1.(n) in
+      let n0 = Aig.node_of f0 and n1 = Aig.node_of f1 in
+      if map.(n0) = -1 || map.(n1) = -1 then begin
+        if map.(n0) = -1 then sp := push t !sp n0;
+        if map.(n1) = -1 then sp := push t !sp n1
+      end
+      else begin
+        let v = Sat.new_var t.solver in
+        map.(n) <- v;
+        let a = sat_lit_of t f0 and b = sat_lit_of t f1 in
+        Sat.add_clause t.solver [ Sat.negl v; a ];
+        Sat.add_clause t.solver [ Sat.negl v; b ];
+        Sat.add_clause t.solver [ Sat.pos v; Sat.neg a; Sat.neg b ];
+        decr sp
+      end
+    end
   done;
   sat_lit_of t l
 

@@ -95,7 +95,7 @@ type t = {
   params : (string * string * Blast.vec) list;  (** proc, origin, free vec *)
   init_constraints : Aig.lit list;
       (** must hold in the start state (free-start mode only) *)
-  mutable cycles : cycle_io list;  (* newest first *)
+  mutable cycles : cycle_io array;  (* by cycle; the first [n_cycles] are unrolled *)
   mutable n_cycles : int;
 }
 
@@ -342,7 +342,7 @@ let create ?(free_start = false) (cfg : config) : t =
       cfg.fsmds
   in
   { g; cfg; fifos; procs; params = List.rev !params;
-    init_constraints = List.rev !constraints; cycles = []; n_cycles = 0 }
+    init_constraints = List.rev !constraints; cycles = [||]; n_cycles = 0 }
 
 (* --- one cycle --------------------------------------------------------------- *)
 
@@ -560,12 +560,19 @@ let step (t : t) : cycle_io =
     { io_feeds; io_fires = List.rev !fires; io_reach = List.rev !reach;
       io_crash = !crash }
   in
-  t.cycles <- io :: t.cycles;
+  if t.n_cycles = Array.length t.cycles then begin
+    let cycles = Array.make (max 8 (2 * t.n_cycles)) io in
+    Array.blit t.cycles 0 cycles 0 t.n_cycles;
+    t.cycles <- cycles
+  end;
+  t.cycles.(t.n_cycles) <- io;
   t.n_cycles <- t.n_cycles + 1;
   io
 
 (** Observables of cycle [c] (must already be unrolled). *)
-let cycle t c = List.nth t.cycles (t.n_cycles - 1 - c)
+let cycle t c =
+  if c < 0 || c >= t.n_cycles then invalid_arg "Model.cycle";
+  t.cycles.(c)
 
 let fire_at t c id =
   match List.assoc_opt id (cycle t c).io_fires with Some l -> l | None -> A.fls

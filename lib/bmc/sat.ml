@@ -339,30 +339,49 @@ let attach_clause t (c : int array) : int =
 
 (* Add a problem clause.  Must be called with the solver at decision
    level 0 (guaranteed between [solve] calls).  Simplifies against the
-   level-0 assignment. *)
+   level-0 assignment: the literals are sorted and deduplicated, a
+   tautology or a clause already satisfied is dropped, and false
+   literals are removed, so the stored clause keeps its literals in
+   ascending order.  Problem clauses are short (Tseitin gates give one
+   to three literals), so the sort is an insertion sort. *)
 let add_clause t (lits : lit list) =
   if t.ok then begin
     assert (decision_level t = 0);
-    (* dedupe, drop false literals, detect tautology / satisfied *)
-    let sorted = List.sort_uniq compare lits in
-    let taut =
-      List.exists (fun l -> List.mem (neg l) sorted) sorted
-      || List.exists (fun l -> lit_value t l = 1) sorted
-    in
-    if not taut then begin
-      let lits = List.filter (fun l -> lit_value t l <> 2) sorted in
-      match lits with
-      | [] -> t.ok <- false
-      | [ l ] ->
-          enqueue t l (-1);
+    let c = Array.of_list lits in
+    let n = Array.length c in
+    for i = 1 to n - 1 do
+      let l = c.(i) in
+      let j = ref i in
+      while !j > 0 && c.(!j - 1) > l do
+        c.(!j) <- c.(!j - 1);
+        decr j
+      done;
+      c.(!j) <- l
+    done;
+    (* one pass over the sorted literals: duplicates are adjacent, and
+       so are complementary pairs [2v], [2v+1]; keep the unassigned *)
+    let m = ref 0 and drop = ref false and i = ref 0 in
+    while (not !drop) && !i < n do
+      let l = c.(!i) in
+      if !i + 1 < n && c.(!i + 1) = neg l then drop := true
+      else if !i > 0 && c.(!i - 1) = l then ()
+      else begin
+        match lit_value t l with
+        | 1 -> drop := true
+        | 2 -> ()
+        | _ ->
+            c.(!m) <- l;
+            incr m
+      end;
+      incr i
+    done;
+    if not !drop then
+      match !m with
+      | 0 -> t.ok <- false
+      | 1 ->
+          enqueue t c.(0) (-1);
           if propagate t <> -1 then t.ok <- false
-      | l0 :: l1 :: _ ->
-          let c = Array.of_list lits in
-          (* ensure the watched positions hold the first two literals *)
-          ignore l0;
-          ignore l1;
-          ignore (attach_clause t c)
-    end
+      | m -> ignore (attach_clause t (if m = n then c else Array.sub c 0 m))
   end
 
 (* --- conflict analysis ----------------------------------------------------- *)

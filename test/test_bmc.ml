@@ -1,14 +1,17 @@
-(* BMC subsystem tests: the CDCL solver on classic instances, AIG
-   folding and hash-consing, bit-blast vs the concrete Value semantics,
-   cycle-for-cycle model-vs-engine fire equivalence over torture
-   programs under solver-free random environments, the Absint↔BMC
+(* BMC subsystem tests: the CDCL solver on classic instances, clause
+   intake against a list-based reference normalizer, AIG folding and
+   hash-consing (against a Hashtbl reference through table growth),
+   bit-blast vs the concrete Value semantics, cycle-for-cycle
+   model-vs-engine fire equivalence over torture programs under
+   solver-free random environments, the Absint↔BMC
    cross-check oracle (a Proved assertion must never be Violated by a
    replay-confirmed counterexample), and the end-to-end prove pipeline:
    mine_demo's latent bug found and replayed, prove_demo's masked nibble
    proved by 1-induction where Absint says Unknown, pruning dividend,
    byte-identical reports across job counts, and pinned verdicts (class,
    k or cycle, reach) for the examples, the torture corpus and a band of
-   generated programs. *)
+   generated programs, with the solver's work and the induction model's
+   size pinned for prove_demo and mine_demo. *)
 
 module Sat = Bmc.Sat
 module Aig = Bmc.Aig
@@ -127,6 +130,63 @@ let test_sat_conflict_limit () =
   check tbool "solver survives budget exhaustion" true (Sat.is_ok s);
   check tbool "full budget resolves Unsat" true (Sat.solve s = Sat.Unsat)
 
+(* Reference clause intake: the list-based normalization (sort, dedupe,
+   drop tautologies and clauses satisfied at level 0, drop false
+   literals) applied through the solver's own enqueue/propagate/attach
+   steps.  [Sat.add_clause] must leave a solver in exactly the state
+   this leaves a twin in. *)
+let reference_add_clause (s : Sat.t) (lits : Sat.lit list) =
+  if Sat.is_ok s then begin
+    let sorted = List.sort_uniq compare lits in
+    let taut =
+      List.exists (fun l -> List.mem (Sat.neg l) sorted) sorted
+      || List.exists (fun l -> Sat.lit_value s l = 1) sorted
+    in
+    if not taut then
+      match List.filter (fun l -> Sat.lit_value s l <> 2) sorted with
+      | [] -> s.Sat.ok <- false
+      | [ l ] ->
+          Sat.enqueue s l (-1);
+          if Sat.propagate s <> -1 then s.Sat.ok <- false
+      | lits -> ignore (Sat.attach_clause s (Array.of_list lits))
+  end
+
+(* Random clause streams over few variables, so duplicates,
+   complementary pairs and literals already fixed at level 0 (by
+   earlier unit clauses) are common. *)
+let sat_clause_intake =
+  QCheck.Test.make ~count:300 ~name:"clause intake equals the reference normalizer"
+    QCheck.int (fun seed ->
+      let rs = Random.State.make [| seed |] in
+      let nvars = 3 + Random.State.int rs 8 in
+      let s = Sat.create () and r = Sat.create () in
+      for _ = 1 to nvars do
+        ignore (Sat.new_var s);
+        ignore (Sat.new_var r)
+      done;
+      let lit () = (2 * Random.State.int rs nvars) + Random.State.int rs 2 in
+      for _ = 1 to 40 do
+        let len = 1 + Random.State.int rs 6 in
+        let c = ref [] in
+        for _ = 1 to len do
+          let l =
+            match (!c, Random.State.int rs 5) with
+            | l :: _, 0 -> l
+            | l :: _, 1 -> Sat.neg l
+            | _ -> lit ()
+          in
+          c := l :: !c
+        done;
+        Sat.add_clause s !c;
+        reference_add_clause r !c
+      done;
+      let clauses (t : Sat.t) = Array.to_list (Array.sub t.Sat.clauses 0 t.Sat.nclauses) in
+      let trail (t : Sat.t) = Array.to_list (Array.sub t.Sat.trail 0 t.Sat.trail_n) in
+      s.Sat.nclauses = r.Sat.nclauses
+      && clauses s = clauses r
+      && Sat.is_ok s = Sat.is_ok r
+      && trail s = trail r)
+
 (* --- AIG ------------------------------------------------------------------- *)
 
 let test_aig_folding () =
@@ -169,6 +229,97 @@ let test_aig_evaluator () =
       check tbool "true literal" true (ev Aig.tru);
       check tbool "false literal" false (ev Aig.fls))
     [ (false, false); (false, true); (true, false); (true, true) ]
+
+(* Reference structural hash: the same folding rules and node numbering
+   as [Aig], over a polymorphic [Hashtbl] keyed by the ordered fanin
+   pair. *)
+module Ref_aig = struct
+  type t = { tbl : (int * int, int) Hashtbl.t; mutable n : int }
+
+  let create () = { tbl = Hashtbl.create 16; n = 1 }
+
+  let new_input t =
+    let v = t.n in
+    t.n <- v + 1;
+    2 * v
+
+  let mk_and t a b =
+    if a = Aig.fls || b = Aig.fls then Aig.fls
+    else if a = Aig.tru then b
+    else if b = Aig.tru then a
+    else if a = b then a
+    else if a = Aig.neg b then Aig.fls
+    else
+      let key = (min a b, max a b) in
+      match Hashtbl.find_opt t.tbl key with
+      | Some v -> 2 * v
+      | None ->
+          let v = t.n in
+          t.n <- v + 1;
+          Hashtbl.add t.tbl key v;
+          2 * v
+
+  let mk_or t a b = Aig.neg (mk_and t (Aig.neg a) (Aig.neg b))
+  let mk_xor t a b = mk_or t (mk_and t a (Aig.neg b)) (mk_and t (Aig.neg a) b)
+
+  let mk_mux t c a b =
+    if a = b then a
+    else if c = Aig.tru then a
+    else if c = Aig.fls then b
+    else mk_or t (mk_and t c a) (mk_and t (Aig.neg c) b)
+end
+
+(* Random gate sequences grow the graph past 10k nodes, through several
+   doublings of the hash table; operands are earlier results (or their
+   negations, or constants), and about one step in six repeats an
+   earlier gate with swapped operands, so lookups hit as well as miss. *)
+let aig_hash_consing_growth =
+  QCheck.Test.make ~count:4 ~name:"hash consing survives table growth" QCheck.int
+    (fun seed ->
+      let rs = Random.State.make [| seed |] in
+      let g = Aig.create () and r = Ref_aig.create () in
+      let max_steps = 20_000 in
+      let pool = Array.make (8 + max_steps) 0 and npool = ref 0 in
+      let push l =
+        pool.(!npool) <- l;
+        incr npool
+      in
+      let ok = ref true in
+      for _ = 1 to 8 do
+        let l = Aig.new_input g in
+        ok := !ok && l = Ref_aig.new_input r;
+        push l
+      done;
+      let pick () =
+        match Random.State.int rs 40 with
+        | 0 -> Aig.tru
+        | 1 -> Aig.fls
+        | _ ->
+            let l = pool.(Random.State.int rs !npool) in
+            if Random.State.bool rs then Aig.neg l else l
+      in
+      let steps = Array.make max_steps (0, 0, 0, 0) and nsteps = ref 0 in
+      while !ok && Aig.num_nodes g <= 12_000 && !nsteps < max_steps do
+        let op, a, b, c =
+          if !nsteps > 0 && Random.State.int rs 6 = 0 then
+            let op, a, b, c = steps.(Random.State.int rs !nsteps) in
+            (op, b, a, c)
+          else (Random.State.int rs 5, pick (), pick (), pick ())
+        in
+        steps.(!nsteps) <- (op, a, b, c);
+        incr nsteps;
+        let l, l' =
+          match op with
+          | 0 -> (Aig.mk_and g a b, Ref_aig.mk_and r a b)
+          | 1 -> (Aig.mk_or g a b, Ref_aig.mk_or r a b)
+          | 2 -> (Aig.mk_xor g a b, Ref_aig.mk_xor r a b)
+          | 3 -> (Aig.mk_mux g c a b, Ref_aig.mk_mux r c a b)
+          | _ -> (Aig.new_input g, Ref_aig.new_input r)
+        in
+        ok := l = l';
+        push l
+      done;
+      !ok && Aig.num_nodes g > 10_000 && Aig.num_nodes g = r.Ref_aig.n)
 
 (* --- bit-blast vs Value ---------------------------------------------------- *)
 
@@ -615,9 +766,43 @@ let verdict_line (r : Verdict.presult) =
   in
   Printf.sprintf "#%d %s; %s" r.Verdict.pr_id cls reach
 
-let pin_lines prog =
-  let rep, _ = Verify.prove ~depth:8 ~induction:4 prog in
-  List.map verdict_line rep.Verdict.p_results
+let pin_results prog = (fst (Verify.prove ~depth:8 ~induction:4 prog)).Verdict.p_results
+
+let pin_lines prog = List.map verdict_line (pin_results prog)
+
+(* The solver's work per assertion: conflicts / decisions / propagations.
+   The AIG, the SAT variable numbering and the clause database are built
+   deterministically, so search repeats exactly; a kernel change that
+   reorders any of them shows here before it shifts report bytes. *)
+let work_line (r : Verdict.presult) =
+  Printf.sprintf "#%d %d/%d/%d" r.Verdict.pr_id r.Verdict.pr_conflicts
+    r.Verdict.pr_decisions r.Verdict.pr_propagations
+
+let work_pins =
+  [
+    ("examples/prove_demo.c", [ "#0 1/32/1658"; "#1 30/1011/119739" ]);
+    ("examples/mine_demo.c", [ "#0 0/62/334" ]);
+  ]
+
+(* The k-induction model of [Bmc.Prove.k_induction] for assertion [id],
+   rebuilt step for step with every k up to [max_k] solved (as when each
+   k finds a counterexample to induction): (AIG nodes, SAT variables,
+   clauses including learnt ones). *)
+let induction_model_sizes prog ~id ~max_k =
+  let cfg = Verify.model_config (Verify.front_of prog) in
+  let model = Model.create ~free_start:true cfg in
+  let solver = Sat.create () in
+  let cnf = Bmc.Cnf.create model.Model.g solver in
+  List.iter (Bmc.Cnf.assert_lit cnf) model.Model.init_constraints;
+  ignore (Model.step model);
+  for k = 1 to max_k do
+    ignore (Model.step model);
+    Bmc.Cnf.assert_lit cnf (Aig.neg (Model.fire_at model (k - 1) id));
+    Bmc.Cnf.assert_lit cnf (Aig.neg (Model.crash_at model (k - 1)));
+    ignore
+      (Sat.solve ~assumptions:[ Bmc.Cnf.lit cnf (Model.fire_at model k id) ] solver)
+  done;
+  (Aig.num_nodes model.Model.g, solver.Sat.nvars, solver.Sat.nclauses)
 
 let example_pins =
   [
@@ -658,8 +843,19 @@ let generated_pin = "c7a54584f3c0bd64d7dd6597dd94c3ef"
 let test_verdict_pins () =
   List.iter
     (fun (path, want) ->
-      check (Alcotest.list tstr) path want (pin_lines (elab (read_file (example path)))))
+      let results = pin_results (elab (read_file (example path))) in
+      check (Alcotest.list tstr) path want (List.map verdict_line results);
+      match List.assoc_opt path work_pins with
+      | Some work ->
+          check (Alcotest.list tstr) (path ^ " solver work") work
+            (List.map work_line results)
+      | None -> ())
     example_pins;
+  let prog = elab (read_file (example "examples/prove_demo.c")) in
+  let nodes, vars, clauses = induction_model_sizes prog ~id:1 ~max_k:4 in
+  check tint "prove_demo #1 induction model: AIG nodes" 74924 nodes;
+  check tint "prove_demo #1 induction model: SAT variables" 29994 vars;
+  check tint "prove_demo #1 induction model: clauses" 75490 clauses;
   List.iter
     (fun (name, want) ->
       let path = example (Filename.concat Torture.Corpus.default_dir (name ^ ".inca")) in
@@ -688,12 +884,14 @@ let () =
             test_sat_assumptions_incremental;
           Alcotest.test_case "learning persists" `Quick test_sat_learning_persists;
           Alcotest.test_case "conflict limit" `Quick test_sat_conflict_limit;
+          QCheck_alcotest.to_alcotest sat_clause_intake;
         ] );
       ( "aig",
         [
           Alcotest.test_case "constant folding" `Quick test_aig_folding;
           Alcotest.test_case "hash consing" `Quick test_aig_hash_consing;
           Alcotest.test_case "evaluator" `Quick test_aig_evaluator;
+          QCheck_alcotest.to_alcotest aig_hash_consing_growth;
         ] );
       ( "blast",
         [

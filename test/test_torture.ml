@@ -87,6 +87,36 @@ let test_oracle_catches_fault () =
         (String.length k >= 5 && String.sub k 0 5 = "hang:"))
     (class_set o)
 
+(* The fork-point fault path (padded design, pad armed at its first
+   activation, trimmed budget) must classify every program exactly as
+   injecting the fault into a separate compile and simulating from
+   reset does.  Every program here has a padded twin of the fault under
+   every strategy, so the fork path really runs. *)
+let test_oracle_fork_equals_from_reset () =
+  let diverging = ref 0 in
+  for i = 0 to 49 do
+    let prog = gen i in
+    List.iter
+      (fun (sname, strategy) ->
+        let front = Core.Driver.front ~strategy prog in
+        let sites = (Faults.Fault.instrument_all front.Core.Driver.f_ir).Faults.Fault.ip_sites in
+        check tbool
+          (Printf.sprintf "program %d has a padded twin under %s" i sname)
+          true
+          (List.exists
+             (fun (s : Faults.Fault.site) ->
+               s.Faults.Fault.s_padded && [ s.Faults.Fault.s_fault ] = known_fault)
+             sites))
+      Oracle.default_strategies;
+    let fork = class_set (Oracle.check ~faults:known_fault prog) in
+    let reset = class_set (Oracle.check ~faults:known_fault ~from_reset:true prog) in
+    check (Alcotest.list tstr)
+      (Printf.sprintf "program %d: fork-point classes = from-reset classes" i)
+      reset fork;
+    if fork <> [] then incr diverging
+  done;
+  check tint "programs diverging under the injected fault" 49 !diverging
+
 (* --- shrinker ------------------------------------------------------------- *)
 
 let divergent_base () =
@@ -216,6 +246,8 @@ let () =
         [
           Alcotest.test_case "clean seeds agree" `Quick test_oracle_clean_agrees;
           Alcotest.test_case "injected fault diverges" `Quick test_oracle_catches_fault;
+          Alcotest.test_case "fork-point classes = from-reset" `Quick
+            test_oracle_fork_equals_from_reset;
         ] );
       ( "shrink",
         [

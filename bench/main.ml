@@ -22,6 +22,20 @@ let section title =
 
 let pct part whole = 100.0 *. float_of_int part /. float_of_int whole
 
+(* A bench artifact: one JSON object on one line.  Timings and ratios
+   are rounded to [digits] decimals, the precision they are reported
+   at. *)
+let fixed digits x =
+  let s = 10.0 ** float_of_int digits in
+  Json.float (Float.round (x *. s) /. s)
+
+let write_artifact path fields =
+  let oc = open_out path in
+  output_string oc (Json.to_string (Json.Obj fields));
+  output_char oc '\n';
+  close_out oc;
+  print_endline ("  wrote " ^ path)
+
 (* --- Tables 1 and 2: case-study overheads ---------------------------------- *)
 
 type paper_row = {
@@ -558,24 +572,30 @@ let campaign_bench () =
      fork-vs-reset split and cache effectiveness (memory and disk
      tiers) plus the full report (per-strategy detection counts and
      mean cycles-to-detection) *)
-  let oc = open_out "BENCH_campaign.json" in
-  Printf.fprintf oc
-    "{\"mutant_runs\": %d, \"elapsed_seconds\": %.3f, \"serial_wall_seconds\": %.3f, \
-     \"wall_seconds\": %.3f, \"jobs\": %d, \"speedup\": %.3f, \"mutants_per_second\": %.1f, \
-     \"from_reset_wall_seconds\": %.3f, \"from_reset_mutants_per_second\": %.1f, \
-     \"fork_speedup_vs_reset\": %.3f, \"fork_cycles\": %d, \"from_reset_cycles\": %d, \
-     \"fork_cycle_ratio_vs_reset\": %.3f, \"pruned_static\": %d, \"pruned_hang\": %d, \
-     \"no_prune_wall_seconds\": %.3f, \
-     \"cache_hits\": %d, \"cache_misses\": %d, \"disk_hits\": %d, \"disk_misses\": %d, \
-     \"report\": %s}\n"
-    n dt serial_dt dt jobs speedup mps reset_dt reset_mps fork_speedup fork_cycles
-    reset_cycles fork_cycle_ratio
-    report.Campaign.pruned_static report.Campaign.pruned_hang noprune_dt
-    stats.Exec.Cache.hits stats.Exec.Cache.misses
-    stats.Exec.Cache.disk_hits stats.Exec.Cache.disk_misses
-    (Json.to_string (Campaign.json_of report));
-  close_out oc;
-  print_endline "  wrote BENCH_campaign.json"
+  write_artifact "BENCH_campaign.json"
+    [
+      ("mutant_runs", Json.int n);
+      ("elapsed_seconds", fixed 3 dt);
+      ("serial_wall_seconds", fixed 3 serial_dt);
+      ("wall_seconds", fixed 3 dt);
+      ("jobs", Json.int jobs);
+      ("speedup", fixed 3 speedup);
+      ("mutants_per_second", fixed 1 mps);
+      ("from_reset_wall_seconds", fixed 3 reset_dt);
+      ("from_reset_mutants_per_second", fixed 1 reset_mps);
+      ("fork_speedup_vs_reset", fixed 3 fork_speedup);
+      ("fork_cycles", Json.int fork_cycles);
+      ("from_reset_cycles", Json.int reset_cycles);
+      ("fork_cycle_ratio_vs_reset", fixed 3 fork_cycle_ratio);
+      ("pruned_static", Json.int report.Campaign.pruned_static);
+      ("pruned_hang", Json.int report.Campaign.pruned_hang);
+      ("no_prune_wall_seconds", fixed 3 noprune_dt);
+      ("cache_hits", Json.int stats.Exec.Cache.hits);
+      ("cache_misses", Json.int stats.Exec.Cache.misses);
+      ("disk_hits", Json.int stats.Exec.Cache.disk_hits);
+      ("disk_misses", Json.int stats.Exec.Cache.disk_misses);
+      ("report", Campaign.json_of report);
+    ]
 
 (* CI smoke: a single bundled workload, capped, asserting the compile
    cache actually absorbed the per-mutant front-end work. *)
@@ -997,26 +1017,28 @@ let torture_bench () =
      faster, classes identical), mean shrink ratio %.1fx\n"
     (List.length faulty.Torture.Fuzz.r_findings)
     fcount fdt frdt (frdt /. fdt) mean_ratio;
-  let oc = open_out "BENCH_torture.json" in
-  Printf.fprintf oc
-    "{\"count\": %d, \"jobs\": %d, \"serial_wall_seconds\": %.3f, \
-     \"wall_seconds\": %.3f, \"programs_per_second\": %.1f, \
-     \"baseline_cycles\": %d, \"fault_count\": %d, \"fault_wall_seconds\": %.3f, \
-     \"fault_from_reset_wall_seconds\": %.3f, \"fault_fork_speedup\": %.3f, \
-     \"mean_shrink_ratio\": %.2f, \"shrinks\": [%s], \"clean_report\": %s, \
-     \"fault_report\": %s}\n"
-    count jobs serial_dt dt pps clean.Torture.Fuzz.r_baseline_cycles fcount fdt
-    frdt (frdt /. fdt) mean_ratio
-    (String.concat ", "
-       (List.map
+  write_artifact "BENCH_torture.json"
+    [
+      ("count", Json.int count);
+      ("jobs", Json.int jobs);
+      ("serial_wall_seconds", fixed 3 serial_dt);
+      ("wall_seconds", fixed 3 dt);
+      ("programs_per_second", fixed 1 pps);
+      ("baseline_cycles", Json.int clean.Torture.Fuzz.r_baseline_cycles);
+      ("fault_count", Json.int fcount);
+      ("fault_wall_seconds", fixed 3 fdt);
+      ("fault_from_reset_wall_seconds", fixed 3 frdt);
+      ("fault_fork_speedup", fixed 3 (frdt /. fdt));
+      ("mean_shrink_ratio", fixed 2 mean_ratio);
+      ( "shrinks",
+        Json.list
           (fun (o, m, r) ->
-            Printf.sprintf
-              "{\"orig_lines\": %d, \"min_lines\": %d, \"ratio\": %.2f}" o m r)
-          ratios))
-    (Json.to_string (Torture.Fuzz.json_of clean))
-    (Json.to_string (Torture.Fuzz.json_of faulty));
-  close_out oc;
-  print_endline "  wrote BENCH_torture.json"
+            Json.Obj
+              [ ("orig_lines", Json.int o); ("min_lines", Json.int m); ("ratio", fixed 2 r) ])
+          ratios );
+      ("clean_report", Torture.Fuzz.json_of clean);
+      ("fault_report", Torture.Fuzz.json_of faulty);
+    ]
 
 (* --- Serve daemon: job throughput, shard-merge determinism, warm cache ------------- *)
 

@@ -8,29 +8,14 @@
 
 open Cmdliner
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 (* --- strategy selection --------------------------------------------------- *)
 
-(* "none" is a scripting-friendly alias for the canonical "baseline". *)
-let strategy_of_string = function
-  | "none" -> Ok ("baseline", Core.Driver.baseline)
-  | s -> (
-      match List.assoc_opt s Core.Driver.all_strategies with
-      | Some st -> Ok (s, st)
-      | None ->
-          Error
-            (`Msg
-              (Printf.sprintf "unknown strategy %s (expected one of %s)" s
-                 (String.concat ", " (List.map fst Core.Driver.all_strategies)))))
-
+(* Name resolution and the NDEBUG/NABORT folding are {!Serve.Sched}'s, so
+   the CLI and served jobs cannot drift apart. *)
 let strategy_conv : (string * Core.Driver.strategy) Arg.conv =
-  Arg.conv (strategy_of_string, fun ppf (name, _) -> Format.pp_print_string ppf name)
+  Arg.conv
+    ( (fun s -> Result.map_error (fun m -> `Msg m) (Serve.Sched.strategy_of_name s)),
+      fun ppf (name, _) -> Format.pp_print_string ppf name )
 
 let strategy_doc =
   "Assertion synthesis strategy: baseline (assertions stripped), unoptimized \
@@ -59,10 +44,8 @@ let strategy_args ?default () =
   let mk (sname, strategy) nabort ndebug = { sname; strategy; nabort; ndebug } in
   Term.(const mk $ strategy_opt ?default () $ nabort_arg $ ndebug_arg)
 
-(* NDEBUG wins over everything; NABORT is folded into the strategy. *)
 let apply_sel sel =
-  if sel.ndebug then ("baseline", Core.Driver.baseline)
-  else (sel.sname, { sel.strategy with Core.Driver.nabort = sel.nabort })
+  Serve.Sched.apply_flags ~nabort:sel.nabort ~ndebug:sel.ndebug (sel.sname, sel.strategy)
 
 let prune_arg =
   Arg.(
@@ -75,7 +58,7 @@ let prune_arg =
            it.  A statically violated assertion aborts the compile with a witness.")
 
 let load ?(prune_proved = false) sel path =
-  let src = read_file path in
+  let src = Serve.Sched.read_file path in
   let prog = Front.Typecheck.parse_and_check ~file:(Filename.basename path) src in
   let _, strategy = apply_sel sel in
   Core.Driver.compile ~strategy ~prune_proved prog
@@ -98,37 +81,44 @@ let or_static_violation f =
 (* --- testbench stimulus --------------------------------------------------- *)
 
 let parse_feed s =
-  match String.index_opt s '=' with
-  | Some i ->
-      let stream = String.sub s 0 i in
-      let vals =
-        String.split_on_char ',' (String.sub s (i + 1) (String.length s - i - 1))
-        |> List.filter (fun x -> x <> "")
-        |> List.map Int64.of_string
-      in
-      (stream, vals)
-  | None -> invalid_arg (Printf.sprintf "bad feed %S (expected stream=v1,v2,...)" s)
+  let i = String.index s '=' in
+  ( String.sub s 0 i,
+    String.split_on_char ',' (String.sub s (i + 1) (String.length s - i - 1))
+    |> List.filter (fun x -> x <> "")
+    |> List.map Int64.of_string )
 
 let parse_param s =
-  match String.index_opt s ':' with
-  | Some i -> (
-      let proc = String.sub s 0 i in
-      let rest = String.sub s (i + 1) (String.length s - i - 1) in
-      match String.index_opt rest '=' with
-      | Some j ->
-          let name = String.sub rest 0 j in
-          let v = Int64.of_string (String.sub rest (j + 1) (String.length rest - j - 1)) in
-          (proc, (name, v))
-      | None -> invalid_arg (Printf.sprintf "bad param %S" s))
-  | None -> invalid_arg (Printf.sprintf "bad param %S (expected proc:name=value)" s)
+  let i = String.index s ':' in
+  let rest = String.sub s (i + 1) (String.length s - i - 1) in
+  let j = String.index rest '=' in
+  let v = Int64.of_string (String.sub rest (j + 1) (String.length rest - j - 1)) in
+  (String.sub s 0 i, (String.sub rest 0 j, v))
 
-let collect_params raw =
+(* Malformed stimulus is a usage error Cmdliner reports (exit 124), not
+   an exception escaping the command. *)
+let stimulus_conv what expected parse print =
+  let parse s =
+    match parse s with
+    | v -> Ok v
+    | exception (Not_found | Failure _) ->
+        Error (`Msg (Printf.sprintf "bad %s %S (expected %s)" what s expected))
+  in
+  Arg.conv (parse, print)
+
+let feed_conv =
+  stimulus_conv "feed" "stream=v1,v2,..." parse_feed (fun ppf (s, vs) ->
+      Format.fprintf ppf "%s=%s" s (String.concat "," (List.map Int64.to_string vs)))
+
+let param_conv =
+  stimulus_conv "param" "proc:name=value" parse_param (fun ppf (p, (k, v)) ->
+      Format.fprintf ppf "%s:%s=%Ld" p k v)
+
+let collect_params parsed =
   List.fold_left
-    (fun acc p ->
-      let proc, kv = parse_param p in
+    (fun acc (proc, kv) ->
       let cur = try List.assoc proc acc with Not_found -> [] in
       (proc, kv :: cur) :: List.remove_assoc proc acc)
-    [] raw
+    [] parsed
 
 type stimulus = {
   feeds : (string * int64 list) list;
@@ -138,17 +128,17 @@ type stimulus = {
 
 let stimulus_args =
   let feeds_arg =
-    Arg.(value & opt_all string [] & info [ "feed" ] ~doc:"Testbench input: stream=v1,v2,...")
+    Arg.(value & opt_all feed_conv [] & info [ "feed" ] ~doc:"Testbench input: stream=v1,v2,...")
   in
   let drains_arg =
     Arg.(value & opt_all string [] & info [ "drain" ] ~doc:"Stream to collect output from.")
   in
   let params_arg =
     Arg.(
-      value & opt_all string [] & info [ "param" ] ~doc:"Process parameter: proc:name=value")
+      value & opt_all param_conv [] & info [ "param" ] ~doc:"Process parameter: proc:name=value")
   in
   let mk feeds drains params =
-    { feeds = List.map parse_feed feeds; drains; params = collect_params params }
+    { feeds; drains; params = collect_params params }
   in
   Term.(const mk $ feeds_arg $ drains_arg $ params_arg)
 

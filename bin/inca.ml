@@ -799,7 +799,7 @@ let submit_cmd =
   let run socket jobfile =
     let text =
       match jobfile with
-      | Some p -> Cli.read_file p
+      | Some p -> Serve.Sched.read_file p
       | None -> In_channel.input_all stdin
     in
     match Json.parse text with

@@ -219,23 +219,6 @@ let witness ctx env (c : expr) =
 
 (* --- dead-assertion implication ------------------------------------------- *)
 
-(* Constant value of a closed (variable-free) expression. *)
-let rec closed_const (e : expr) : int64 option =
-  match e.e with
-  | Int n -> Some (Interp.Value.wrap_ty e.ety n)
-  | Bool b -> Some (Interp.Value.of_bool b)
-  | Unop (op, a) ->
-      Option.map (fun v -> Interp.Value.unop op a.ety v) (closed_const a)
-  | Binop (op, a, b) -> (
-      match (closed_const a, closed_const b) with
-      | Some va, Some vb -> (
-          try Some (Interp.Value.binop op a.ety va vb)
-          with Interp.Value.Division_by_zero -> None)
-      | _ -> None)
-  | Cast (ty, a) ->
-      Option.map (fun v -> Interp.Value.cast ~from_ty:a.ety ~to_ty:ty v) (closed_const a)
-  | Var _ | Index _ | Call _ -> None
-
 (* [implies f c]: does the earlier asserted fact [f] logically imply
    [c]?  Textual identity, or both are comparisons of the same subject
    expression against constants and [f]'s solution set is contained in
@@ -248,7 +231,7 @@ let implies (f : expr) (c : expr) =
     when is_comparison opf && is_comparison opc
          && Pretty.expr_to_string lf = Pretty.expr_to_string lc
          && equal_ty lf.ety lc.ety -> (
-      match (closed_const rf, closed_const rc) with
+      match (Bound.closed_const rf, Bound.closed_const rc) with
       | Some vf, Some vc ->
           let ty = lf.ety in
           let df = Domain.refine_cmp opf ty true Domain.top (Domain.const vf) in
@@ -436,22 +419,22 @@ and loop ctx env0 cond body step : state =
 let loop_trips (h : for_header) : int option =
   let init_of = function
     | Some { s = Decl (_, v, Some e); _ } | Some { s = Assign (Lvar v, e); _ } ->
-        Option.map (fun c -> (v, c)) (closed_const e)
+        Option.map (fun c -> (v, c)) (Bound.closed_const e)
     | _ -> None
   in
   let step_of = function
     | Some { s = Assign (Lvar v, { e = Binop (Add, { e = Var v'; _ }, k); _ }); _ }
       when v = v' ->
-        Option.map (fun c -> (v, c)) (closed_const k)
+        Option.map (fun c -> (v, c)) (Bound.closed_const k)
     | Some { s = Assign (Lvar v, { e = Binop (Add, k, { e = Var v'; _ }); _ }); _ }
       when v = v' ->
-        Option.map (fun c -> (v, c)) (closed_const k)
+        Option.map (fun c -> (v, c)) (Bound.closed_const k)
     | _ -> None
   in
   match (init_of h.init, h.cond.e, step_of h.step) with
   | Some (v, c0), Binop ((Lt | Le) as op, { e = Var v'; _ }, bound), Some (v'', k)
     when v = v' && v = v'' && Int64.compare k 0L > 0 -> (
-      match closed_const bound with
+      match Bound.closed_const bound with
       | Some b ->
           let upper = if op = Le then Int64.add b 1L else b in
           let span = Int64.sub upper c0 in

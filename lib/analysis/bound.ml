@@ -10,9 +10,10 @@ let to_string = function
   | Unknown -> "unknown"
 
 (* Constant value of an expression that is closed under [env]: literals,
-   casts, arithmetic, and variables bound in [env].  This generalizes
-   {!Absint.closed_const} with a parameter environment so testbench
-   parameters ([fir:n=32]) make data-dependent trip counts concrete. *)
+   casts, arithmetic, and variables bound in [env].  The parameter
+   environment lets testbench parameters ([fir:n=32]) make
+   data-dependent trip counts concrete; {!Absint} folds closed
+   (variable-free) expressions with the empty one. *)
 let rec closed_const ?(env = []) (e : expr) : int64 option =
   match e.e with
   | Int n -> Some (Interp.Value.wrap_ty e.ety n)

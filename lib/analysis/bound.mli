@@ -14,8 +14,9 @@ type t = Exact of int | At_most of int | Unknown
 val to_string : t -> string
 
 (** Constant value of an expression closed under [env] (variable name ->
-    value); generalizes the variable-free constant folder of {!Absint}
-    with testbench parameters. *)
+    value), so testbench parameters count as constants.  With the
+    default empty [env] it folds variable-free expressions, which is how
+    {!Absint} uses it. *)
 val closed_const : ?env:(string * int64) list -> Front.Ast.expr -> int64 option
 
 (** Interval of an expression with [env]-bound variables as singletons

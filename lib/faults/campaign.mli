@@ -135,6 +135,41 @@ type report = {
 (** Fault sites of a workload's baseline-compiled IR. *)
 val enumerate : workload -> Faults.Fault.t list
 
+(** {1 Fork-point evaluation}
+
+    One padded-design evaluator serves {!run} and the fuzz oracle: the
+    all-sites-padded compile of a front ({!Faults.Fault.instrument_all}),
+    one unarmed probe run recording every site's first activation, and
+    the fault's pad armed at that cycle, restored from a pre-activation
+    snapshot ({!run}) or replayed in place ({!evaluate}).  A site that
+    never activates takes the probe's run.  Budgets and fallbacks stay
+    with the callers. *)
+
+type padded = { pd_compiled : Core.Driver.compiled; pd_sites : Faults.Fault.site list }
+
+(** One fault with a padded twin is [Armed]; no fault, several faults or
+    a fault without a twin is the legacy compile, the faults injected
+    into the lowered IR. *)
+type mutant = Armed of padded * Faults.Fault.site | Unpadded of Core.Driver.compiled
+
+(** Finish a fault list's compile from a front. *)
+val mutant : Core.Driver.front -> Faults.Fault.t list -> mutant
+
+(** Evaluate one mutant.  [Unpadded] simulates from reset under
+    [options]; [Armed] probes under [options] and, if the site
+    activates, arms it there under [armed_options] of the probe's
+    result.  Returns the result and the options of the run that
+    produced it. *)
+val evaluate :
+  Core.Driver.sim_options ->
+  armed_options:(Core.Driver.sim_result -> Core.Driver.sim_options) ->
+  mutant ->
+  Core.Driver.sim_result * Core.Driver.sim_options
+
+(** The drains whose output differs between two drained-stream maps. *)
+val differing_drains :
+  drains:string list -> (string * int64 list) list -> (string * int64 list) list -> string list
+
 (** Sweep every (workload, strategy, fault site) mutant.  The plan —
     compile-cache warm-up, per-workload site enumeration, pre-filters,
     golden and unfaulted runs, and per-(workload, strategy) fork

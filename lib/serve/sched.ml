@@ -38,24 +38,25 @@ let source_name = function
 (* A usage error: reported with exit code 1 and no payload. *)
 exception Usage of string
 
-(* Mirrors [Cli.strategy_of_string] + [Cli.apply_sel]: "none" aliases
-   baseline, NDEBUG wins over everything, NABORT folds into the
-   strategy. *)
+(* "none" is a scripting-friendly alias for the canonical "baseline". *)
+let strategy_of_name = function
+  | "none" -> Ok ("baseline", Driver.baseline)
+  | s -> (
+      match List.assoc_opt s Driver.all_strategies with
+      | Some st -> Ok (s, st)
+      | None ->
+          Error
+            (Printf.sprintf "unknown strategy %s (expected one of %s)" s
+               (String.concat ", " (List.map fst Driver.all_strategies))))
+
+(* NDEBUG wins over everything; NABORT is folded into the strategy. *)
+let apply_flags ~nabort ~ndebug (sname, strategy) =
+  if ndebug then ("baseline", Driver.baseline) else (sname, { strategy with Driver.nabort })
+
 let resolve_strategy ?(nabort = false) ?(ndebug = false) name =
-  let named =
-    match name with
-    | "none" -> Some ("baseline", Driver.baseline)
-    | s -> Option.map (fun st -> (s, st)) (List.assoc_opt s Driver.all_strategies)
-  in
-  match named with
-  | None ->
-      raise
-        (Usage
-           (Printf.sprintf "unknown strategy %s (expected one of %s)" name
-              (String.concat ", " (List.map fst Driver.all_strategies))))
-  | Some (sname, strategy) ->
-      if ndebug then ("baseline", Driver.baseline)
-      else (sname, { strategy with Driver.nabort })
+  match strategy_of_name name with
+  | Ok named -> apply_flags ~nabort ~ndebug named
+  | Error m -> raise (Usage m)
 
 let diag_lines diags =
   String.concat "" (List.map (fun d -> Analysis.Diag.to_string d ^ "\n") diags)

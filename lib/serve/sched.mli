@@ -27,6 +27,18 @@ type outcome = {
   sc_result : result option;  (** [None] when the job failed outright *)
 }
 
+(** Shared with the CLI.  [read_file] raises [Sys_error] when the file
+    is missing.  [strategy_of_name] resolves a
+    {!Core.Driver.all_strategies} name, ["none"] aliasing ["baseline"];
+    its error names every strategy.  [apply_flags] folds NDEBUG (which
+    wins: assertions stripped) and NABORT into a resolved strategy. *)
+val read_file : string -> string
+
+val strategy_of_name : string -> (string * Core.Driver.strategy, string) Stdlib.result
+
+val apply_flags :
+  nabort:bool -> ndebug:bool -> string * Core.Driver.strategy -> string * Core.Driver.strategy
+
 (** [progress] is called on the scheduling domain, in deterministic
     order: per file (check/prove), per mutant shard (campaign), per
     scored candidate (mine).  [default_jobs] is used when the job

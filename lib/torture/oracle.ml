@@ -2,7 +2,6 @@
 
 module Driver = Core.Driver
 module Engine = Sim.Engine
-module Fault = Faults.Fault
 
 type dclass =
   | Output_mismatch
@@ -38,8 +37,7 @@ type outcome = {
 
 let agrees o = o.divergences = []
 
-let default_strategies =
-  List.filter (fun (name, _) -> name <> "carte") Driver.all_strategies
+let default_strategies = Campaign.default_strategies
 
 let default_max_cycles = 20_000
 let default_watchdog = 500
@@ -62,13 +60,6 @@ let sw_stuck (r : Interp.result) =
   | Interp.Deadlocked _ | Interp.Fuel_exhausted -> true
   | Interp.Completed | Interp.Aborted _ | Interp.Runtime_error _ -> false
 
-let differing_drains ~drains golden actual =
-  List.filter
-    (fun s ->
-      let get l = try List.assoc s l with Not_found -> [] in
-      get golden <> get actual)
-    drains
-
 (* Verdict of assertion [id], relying on the documented alignment:
    Absint verdicts are in {!Core.Assertion.extract} order, which is the
    id numbering. *)
@@ -79,84 +70,33 @@ let proved_ids (analysis : Analysis.Absint.result) =
          if v.vclass = Analysis.Absint.Proved then [ i ] else [])
        analysis.verdicts)
 
-(* How one circuit leg carries its faults.  [Legacy] injects them into
-   the lowered IR and simulates from reset — the original path, kept
-   for fault-free legs, multi-fault lists (sequential [Fault.apply_all]
-   renumbers later sites) and faults with no enumerated twin.  [Padded]
-   is the campaign's fork-point path: the all-sites-padded design
-   compiled once, the fault realized by arming its pad at the site's
-   first activation instead of re-simulating the shared prefix under a
-   separate mutant compile. *)
-type leg =
-  | Legacy of Driver.compiled
-  | Padded of { p_compiled : Driver.compiled; p_site : Fault.site }
+(* One strategy's circuit, as {!Campaign.evaluate} runs it.  A single
+   fault with a padded twin takes the campaign's fork-point path;
+   [from_reset], several faults or no twin compile the faults into a
+   separate design simulated from cycle zero.  The fault-free baseline
+   leg is the compile already made for the golden run. *)
+let compile_mutant ~c_base ~from_reset ~faults ~prog strategy =
+  if faults = [] && strategy = Driver.baseline then Campaign.Unpadded c_base
+  else
+    let front = Driver.front ~strategy prog in
+    if from_reset then Campaign.Unpadded (Driver.finish ~faults front)
+    else Campaign.mutant front faults
 
-let compile_leg ~from_reset ~faults ~strategy prog =
-  match faults with
-  | [] -> Legacy (Driver.compile ~strategy prog)
-  | _ when from_reset -> Legacy (Driver.compile ~strategy ~faults prog)
-  | [ fault ] -> (
-      let front = Driver.front ~strategy prog in
-      let inst = Fault.instrument_all front.Driver.f_ir in
-      match
-        List.find_opt
-          (fun (s : Fault.site) -> s.Fault.s_padded && s.Fault.s_fault = fault)
-          inst.Fault.ip_sites
-      with
-      | Some site ->
-          Padded
-            {
-              p_compiled =
-                Driver.finish { front with Driver.f_ir = inst.Fault.ip_prog };
-              p_site = site;
-            }
-      | None -> Legacy (Driver.finish ~faults front))
-  | _ -> Legacy (Driver.compile ~strategy ~faults prog)
-
-(* Simulate one leg; returns the result plus the cycle budget actually
-   applied (for the Out_of_cycles detail).  A padded leg runs the
-   unarmed design once, recording when the armed site first activates;
-   if it never does, arming could not change anything the run executed,
-   so the unarmed run *is* the faulted run.  Otherwise the shared
-   prefix is replayed to the activation cycle, the pad armed there, and
-   the run finished under a budget trimmed to the cycle-ratio bound —
-   past [ratio_bound]x the unarmed cycles + slack the classification is
+(* An armed run is trimmed to the cycle-ratio bound of the unarmed one:
+   past [ratio_bound]x its cycles + slack the classification is
    Cycle_blowup either way, so simulating on to [max_cycles] buys
-   nothing but wall-clock. *)
-let simulate_leg ~options leg : Driver.sim_result * int =
-  match leg with
-  | Legacy c -> (Driver.simulate ~options c, options.Driver.max_cycles)
-  | Padded { p_compiled = c; p_site = site } -> (
-      let act = ref (-1) in
-      let on_site cycle idx =
-        if idx = site.Fault.s_index && !act < 0 then act := cycle
-      in
-      let ses = Driver.prepare ~options ~on_site c in
-      let base = Driver.session_result ses (Engine.run ses.Driver.ses_engine) in
-      if !act < 0 then (base, options.Driver.max_cycles)
-      else
-        let budget =
-          match base.Driver.engine.Engine.outcome with
-          | Engine.Finished ->
-              min options.Driver.max_cycles
-                ((ratio_bound * base.Driver.engine.Engine.cycles) + ratio_slack)
-          | _ -> options.Driver.max_cycles
-        in
-        let options = { options with Driver.max_cycles = budget } in
-        let arm ses =
-          Engine.arm ses.Driver.ses_engine [ (site.Fault.s_proc, site.Fault.s_arm) ]
-        in
-        let ses = Driver.prepare ~options c in
-        match Engine.run_until ses.Driver.ses_engine ~cycle:!act with
-        | None ->
-            arm ses;
-            (Driver.session_result ses (Engine.run ses.Driver.ses_engine), budget)
-        | Some _ ->
-            (* unreachable — the unarmed run got past this cycle — but
-               arming from reset is always a faithful fallback *)
-            let ses = Driver.prepare ~options c in
-            arm ses;
-            (Driver.session_result ses (Engine.run ses.Driver.ses_engine), budget))
+   nothing but wall-clock.  An unarmed run that did not finish gives no
+   ratio to trim to. *)
+let armed_options (options : Driver.sim_options) (base : Driver.sim_result) =
+  match base.Driver.engine.Engine.outcome with
+  | Engine.Finished ->
+      {
+        options with
+        Driver.max_cycles =
+          min options.Driver.max_cycles
+            ((ratio_bound * base.Driver.engine.Engine.cycles) + ratio_slack);
+      }
+  | _ -> options
 
 (* One strategy's circuit run compared against the golden software run.
    Returns the divergences it alone exhibits plus its finished cycle
@@ -165,8 +105,8 @@ let simulate_leg ~options leg : Driver.sim_result * int =
    the circuit outcome must not contradict it — a proved deadlock-free
    design that hangs (or a certain-deadlock design that finishes) is a
    {!Liveness_unsound} finding against the analyzer itself. *)
-let check_strategy ~options ~sw ~golden_drained ~proved ~live ~from_reset ~faults
-    ~prog (sname, strategy) =
+let check_strategy ~options ~c_base ~sw ~golden_drained ~proved ~live ~from_reset
+    ~faults ~prog (sname, strategy) =
   let live_unsound mk =
     if faults <> [] then []
     else
@@ -191,22 +131,23 @@ let check_strategy ~options ~sw ~golden_drained ~proved ~live ~from_reset ~fault
             ^ ") but the circuit finished")
       | _ -> None)
   in
-  match compile_leg ~from_reset ~faults ~strategy prog with
+  match compile_mutant ~c_base ~from_reset ~faults ~prog strategy with
   | exception e ->
       ( [ { dclass = Crash; strategy = sname;
             detail = exn_detail "compile" e } ],
         None )
-  | leg -> (
-      match simulate_leg ~options leg with
+  | m -> (
+      match Campaign.evaluate options ~armed_options:(armed_options options) m with
       | exception e ->
           ( [ { dclass = Crash; strategy = sname;
                 detail = exn_detail "simulate" e } ],
             None )
-      | r, budget ->
+      | r, run_options ->
           let eng = r.Driver.engine in
           let fsmds =
-            match leg with
-            | Legacy c | Padded { p_compiled = c; _ } -> c.Driver.fsmds
+            match m with
+            | Campaign.Armed (pd, _) -> pd.Campaign.pd_compiled.Driver.fsmds
+            | Campaign.Unpadded c -> c.Driver.fsmds
           in
           let fired_proved =
             List.filter (fun id -> List.mem id proved) r.Driver.failed_assertions
@@ -243,7 +184,7 @@ let check_strategy ~options ~sw ~golden_drained ~proved ~live ~from_reset ~fault
                       Some eng.Engine.cycles )
                 else
                   let diff =
-                    differing_drains ~drains:options.Driver.drains golden_drained
+                    Campaign.differing_drains ~drains:options.Driver.drains golden_drained
                       eng.Engine.drained
                   in
                   ( (match diff with
@@ -281,7 +222,7 @@ let check_strategy ~options ~sw ~golden_drained ~proved ~live ~from_reset ~fault
                   ( [ { dclass = Cycle_blowup; strategy = sname;
                         detail =
                           Printf.sprintf "still running at the %d-cycle budget"
-                            budget } ],
+                            run_options.Driver.max_cycles } ],
                     None )
             | Engine.Sim_error m ->
                 ( [ { dclass = Crash; strategy = sname;
@@ -383,7 +324,8 @@ let check ?(strategies = default_strategies) ?(faults = []) ?(from_reset = false
         | _ -> []
       in
       (* Faults never reach the golden software run, so the compile
-         backing it stays unfaulted. *)
+         backing it stays unfaulted; it doubles as the fault-free
+         baseline leg. *)
       match Driver.compile ~strategy:Driver.baseline prog with
       | exception e ->
           {
@@ -466,8 +408,8 @@ let check ?(strategies = default_strategies) ?(faults = []) ?(from_reset = false
               List.map
                 (fun s ->
                   ( s,
-                    check_strategy ~options ~sw ~golden_drained ~proved ~live
-                      ~from_reset ~faults ~prog s ))
+                    check_strategy ~options ~c_base ~sw ~golden_drained ~proved
+                      ~live ~from_reset ~faults ~prog s ))
                 strategies
             in
             let baseline_cycles =

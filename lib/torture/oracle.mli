@@ -77,10 +77,10 @@ val default_watchdog : int  (** 500 *)
     fault injection: BMC models the unfaulted design.)
 
     A single fault with an enumerated padded twin is evaluated through
-    the campaign's fork-point path: compile the all-sites-padded design
-    once, run it unarmed to find the site's first activation, then
-    replay the shared prefix with the pad armed under a cycle budget
-    trimmed to the ratio bound.  [from_reset] (default [false]) is the
+    the campaign's fork-point evaluator ({!Campaign.evaluate}): compile
+    the all-sites-padded design once, run it unarmed to find the site's
+    first activation, then replay the shared prefix with the pad armed
+    under a cycle budget trimmed to the ratio bound.  [from_reset] (default [false]) is the
     escape hatch: inject every fault into a separate compile and
     simulate from cycle zero, the pre-split-stream behaviour.  The
     divergence classes agree between the two paths (details such as

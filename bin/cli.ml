@@ -142,6 +142,17 @@ let stimulus_args =
   in
   Term.(const mk $ feeds_arg $ drains_arg $ params_arg)
 
+(* A watchdog window in cycles.  Below one cycle the watchdog would fire
+   on the first cycle and report every run as a hang, so it is a usage
+   error; [expected] completes the message. *)
+let parse_window ~expected s =
+  match int_of_string_opt s with
+  | Some n when n >= 1 -> Ok n
+  | _ -> Error (`Msg (Printf.sprintf "bad watchdog %S (expected %s)" s expected))
+
+let window_conv : int Arg.conv =
+  Arg.conv (parse_window ~expected:"a positive cycle count", Format.pp_print_int)
+
 (* [--watchdog] accepts a cycle count or "auto", which resolves to the
    liveness analyzer's proved completion bound after the program is
    loaded (see {!resolve_watchdog}). *)
@@ -150,12 +161,10 @@ type watchdog_spec = Cycles of int | Auto
 let watchdog_conv : watchdog_spec Arg.conv =
   let parse = function
     | "auto" -> Ok Auto
-    | s -> (
-        match int_of_string_opt s with
-        | Some n -> Ok (Cycles n)
-        | None ->
-            Error
-              (`Msg (Printf.sprintf "bad watchdog %S (expected a cycle count or \"auto\")" s)))
+    | s ->
+        Result.map
+          (fun n -> Cycles n)
+          (parse_window ~expected:"a positive cycle count or \"auto\"" s)
   in
   let print ppf = function
     | Auto -> Format.pp_print_string ppf "auto"
@@ -241,7 +250,7 @@ let budget_arg =
 let sweep_watchdog_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some window_conv) None
     & info [ "watchdog" ]
         ~doc:"Live-lock watchdog window in cycles (default: budget / 20, floor 200).")
 
@@ -286,7 +295,7 @@ let code_filter_args =
 let check_watchdog_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some window_conv) None
     & info [ "watchdog" ] ~docv:"N"
         ~doc:
           "Watchdog window to measure against the proved completion bound: warns \

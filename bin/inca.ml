@@ -479,7 +479,7 @@ let fuzz_cmd =
   let watchdog_arg =
     Arg.(
       value
-      & opt int Torture.Oracle.default_watchdog
+      & opt Cli.window_conv Torture.Oracle.default_watchdog
       & info [ "watchdog" ]
           ~doc:"Live-lock watchdog window for every circuit run, in cycles.")
   in

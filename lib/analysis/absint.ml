@@ -414,38 +414,6 @@ and loop ctx env0 cond body step : state =
   let narrowed = f (f stable) in
   assume ctx narrowed cond false
 
-(* --- trip counts ---------------------------------------------------------- *)
-
-let loop_trips (h : for_header) : int option =
-  let init_of = function
-    | Some { s = Decl (_, v, Some e); _ } | Some { s = Assign (Lvar v, e); _ } ->
-        Option.map (fun c -> (v, c)) (Bound.closed_const e)
-    | _ -> None
-  in
-  let step_of = function
-    | Some { s = Assign (Lvar v, { e = Binop (Add, { e = Var v'; _ }, k); _ }); _ }
-      when v = v' ->
-        Option.map (fun c -> (v, c)) (Bound.closed_const k)
-    | Some { s = Assign (Lvar v, { e = Binop (Add, k, { e = Var v'; _ }); _ }); _ }
-      when v = v' ->
-        Option.map (fun c -> (v, c)) (Bound.closed_const k)
-    | _ -> None
-  in
-  match (init_of h.init, h.cond.e, step_of h.step) with
-  | Some (v, c0), Binop ((Lt | Le) as op, { e = Var v'; _ }, bound), Some (v'', k)
-    when v = v' && v = v'' && Int64.compare k 0L > 0 -> (
-      match Bound.closed_const bound with
-      | Some b ->
-          let upper = if op = Le then Int64.add b 1L else b in
-          let span = Int64.sub upper c0 in
-          if Int64.compare span 0L <= 0 then Some 0
-          else
-            let trips = Int64.div (Int64.add span (Int64.sub k 1L)) k in
-            if Int64.compare trips (Int64.of_int max_int) > 0 then None
-            else Some (Int64.to_int trips)
-      | None -> None)
-  | _ -> None
-
 (* --- whole-program analysis ----------------------------------------------- *)
 
 let duplicates_of (p : proc) =

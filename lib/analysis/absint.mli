@@ -41,11 +41,5 @@ val analyze : Front.Ast.program -> result
 
 val class_name : klass -> string
 
-(** Trip count of a canonical counted for-loop (constant init, [<]/[<=]
-    constant bound, constant positive additive step) — the static twin
-    of the mining subsystem's [Loop_bound] template.  [None] when the
-    header is not in that shape. *)
-val loop_trips : Front.Ast.for_header -> int option
-
 (** Scalar variables read by an expression (array names excluded). *)
 val free_vars : Front.Ast.expr -> string list

@@ -88,7 +88,7 @@ let write_lower_bounds (body : stmt list) : (string * int) list =
           counts ct
     | While (_, b) -> List.fold_left (go 0) counts b
     | For (h, b) ->
-        let trips = Option.value ~default:0 (Absint.loop_trips h) in
+        let trips = match Bound.of_for h b with Bound.Exact n -> n | _ -> 0 in
         let counts = match h.init with Some s -> go mult counts s | None -> counts in
         List.fold_left (go (mult * trips)) counts b
     | Decl _ | Const_array _ | Assign _ | Assert _ | Stream_read _ | Return _ | Tapstmt _ ->

@@ -16,16 +16,6 @@
       rate overhead (Section 5.4, Table 4). *)
 
 module Ir = Mir.Ir
-module Stratix = Device.Stratix
-open Front.Ast
-
-type schedule = {
-  ii : int;
-  depth : int;
-  cycle_ops : Ir.ginst list array;
-  chain_ns : float;
-  insts : (Ir.ginst * int) list;  (** each instruction with its cycle *)
-}
 
 (* --- If-conversion -------------------------------------------------------- *)
 
@@ -69,269 +59,101 @@ let is_pure_alu (g : Ir.ginst) =
   | Ir.Bin _ | Ir.Un _ | Ir.Copy _ | Ir.Castop _ -> true
   | Ir.Load _ | Ir.Store _ | Ir.Sread _ | Ir.Swrite _ | Ir.Extcall _ | Ir.Tap _ -> false
 
-(* --- Delay model ----------------------------------------------------------- *)
-
-let inst_delay (i : Ir.inst) =
-  match i with
-  | Ir.Bin { op = (Shl | Shr); b = Ir.Imm _; _ } -> Stratix.binop_delay_const_shift
-  | Ir.Bin { op; ty; _ } -> Stratix.binop_delay_ns op ty
-  | Ir.Un { op; ty; _ } -> Stratix.unop_delay_ns op ty
-  | Ir.Copy _ | Ir.Castop _ | Ir.Tap _ -> 0.0
-  | Ir.Load _ | Ir.Store _ -> 1.0  (* address/data port path *)
-  | Ir.Sread _ | Ir.Swrite _ -> 1.0
-  | Ir.Extcall _ -> 1.0
-
 (* --- Modulo scheduling ------------------------------------------------------ *)
 
 exception Infeasible
 
-let budget = Stratix.chain_budget_ns
-
-(* Attempt to schedule [insts] at initiation interval [ii].  [proc]
-   supplies memory port counts.  Raises [Infeasible] if constraints
-   cannot be met at this ii. *)
+(* Attempt to schedule [insts] at initiation interval [ii].  The
+   dependence rules live in {!Deps}; this keeps the modulo policy: memory
+   ports, stream handshakes and external units are reserved per cycle
+   class (cycle mod ii), consecutive operations on one stream stay within
+   one II window, and a written memory's accesses fit in one II window.
+   [proc] supplies memory port counts.  Raises [Infeasible] if the
+   constraints cannot be met at this ii; returns the ops of each cycle of
+   one iteration (its length is the iteration depth) and the worst
+   chain. *)
 let try_schedule (proc : Ir.proc_ir) (insts : Ir.ginst list) ~ii =
-  let avail : (Ir.reg, int * float) Hashtbl.t = Hashtbl.create 32 in
+  let d = Deps.create () in
   let mem_slots : (string * int, int) Hashtbl.t = Hashtbl.create 16 in
   let stream_slots : (string * int, bool) Hashtbl.t = Hashtbl.create 16 in
   let ext_slots : (string * int, bool) Hashtbl.t = Hashtbl.create 16 in
-  let chain : (int, float) Hashtbl.t = Hashtbl.create 16 in
-  let last_read : (Ir.reg, int) Hashtbl.t = Hashtbl.create 16 in
-  let last_write : (Ir.reg, int) Hashtbl.t = Hashtbl.create 16 in
   let last_stream_cycle : (string, int) Hashtbl.t = Hashtbl.create 4 in
-  let mem_loads : (string, int list) Hashtbl.t = Hashtbl.create 4 in
-  let mem_stores : (string, int list) Hashtbl.t = Hashtbl.create 4 in
-  let placed = ref [] in
-  let note_chain c t =
-    let cur = try Hashtbl.find chain c with Not_found -> 0.0 in
-    if t > cur then Hashtbl.replace chain c t
-  in
   let ports_of m =
     match Ir.find_mem proc m with Some mem -> mem.Ir.ports | None -> 1
   in
-  let mem_free m c =
-    let used = try Hashtbl.find mem_slots (m, c mod ii) with Not_found -> 0 in
-    used < ports_of m
-  in
-  let take_mem m c =
-    let k = (m, c mod ii) in
-    Hashtbl.replace mem_slots k (1 + (try Hashtbl.find mem_slots k with Not_found -> 0))
-  in
-  let operand_ready op =
-    match op with
-    | Ir.Imm _ -> (0, 0.0)
-    | Ir.Reg r -> ( try Hashtbl.find avail r with Not_found -> (0, 0.0))
-  in
-  let deps_of (g : Ir.ginst) =
-    let guard_dep = match g.Ir.guard with Some (r, _) -> [ Ir.Reg r ] | None -> [] in
-    guard_dep @ List.map (fun r -> Ir.Reg r) (Ir.uses_of g.Ir.i)
-  in
-  let ready_cycle g =
-    List.fold_left
-      (fun (c, t) op ->
-        let c', t' = operand_ready op in
-        if c' > c then (c', t') else if c' = c then (c, Stdlib.max t t') else (c, t))
-      (0, 0.0) (deps_of g)
-  in
-  let registered_cycle g =
-    (* earliest cycle at which all operands are in registers *)
-    let c, t = ready_cycle g in
-    if t > 0.0 then c + 1 else c
-  in
-  (* anti-dependences: a register write must not land before a
-     program-earlier read (same cycle is fine: in-cycle execution is in
-     program order) nor at/before a program-earlier write *)
-  let war_floor dst =
-    let r = try Hashtbl.find last_read dst with Not_found -> -1 in
-    let w = try Hashtbl.find last_write dst with Not_found -> -1 in
-    Stdlib.max r (w + 1)
-  in
-  let note_reads g c =
-    List.iter
-      (function
-        | Ir.Reg r ->
-            let cur = try Hashtbl.find last_read r with Not_found -> -1 in
-            if c > cur then Hashtbl.replace last_read r c
-        | Ir.Imm _ -> ())
-      (deps_of g)
-  in
-  let note_write dst c = Hashtbl.replace last_write dst c in
-  let place g c =
-    note_reads g c;
-    (match Ir.dst_of g.Ir.i with Some d -> note_write d c | None -> ());
-    placed := (g, c) :: !placed
-  in
   let limit = 4096 in
+  let rec find free c =
+    if c > limit then raise Infeasible else if free c then c else find free (c + 1)
+  in
   List.iter
     (fun (g : Ir.ginst) ->
       match g.Ir.i with
-      | Ir.Bin _ | Ir.Un _ | Ir.Copy _ | Ir.Castop _ ->
-          let d = inst_delay g.Ir.i in
-          let c, t = ready_cycle g in
-          let c, t =
-            let floor =
-              match Ir.dst_of g.Ir.i with Some dst -> war_floor dst | None -> 0
-            in
-            if floor > c then (floor, 0.0) else (c, t)
-          in
-          let c, t_end =
-            if t +. d <= budget then (c, t +. d)
-            else (c + 1, d)
-          in
-          note_chain c t_end;
-          (match Ir.dst_of g.Ir.i with
-          | Some dst -> Hashtbl.replace avail dst (c, t_end)
-          | None -> ());
-          place g c
-      | Ir.Load { dst; mem; _ } ->
-          let c0 =
-            let c, t = ready_cycle g in
-            if t +. 1.0 <= budget then c else c + 1
-          in
-          let c0 = Stdlib.max c0 (war_floor dst) in
-          let c0 =
-            match Hashtbl.find_opt mem_stores mem with
-            | Some stores -> List.fold_left (fun acc s -> Stdlib.max acc (s + 1)) c0 stores
-            | None -> c0
-          in
-          let rec find c =
-            if c > limit then raise Infeasible
-            else if mem_free mem c then c
-            else find (c + 1)
-          in
-          let c = find c0 in
-          take_mem mem c;
-          Hashtbl.replace mem_loads mem (c :: (try Hashtbl.find mem_loads mem with Not_found -> []));
-          note_chain c 1.0;
-          Hashtbl.replace avail dst (c + 1, 0.0);
-          place g c
-      | Ir.Store { mem; _ } ->
-          let c0 =
-            let c, t = ready_cycle g in
-            if t +. 1.0 <= budget then c else c + 1
-          in
-          let c0 =
-            match Hashtbl.find_opt mem_stores mem with
-            | Some stores -> List.fold_left (fun acc s -> Stdlib.max acc (s + 1)) c0 stores
-            | None -> c0
-          in
-          let c0 =
-            (* stores must not pass program-earlier loads of the same mem *)
-            match Hashtbl.find_opt mem_loads mem with
-            | Some loads -> List.fold_left Stdlib.max c0 loads
-            | None -> c0
-          in
-          let rec find c =
-            if c > limit then raise Infeasible
-            else if mem_free mem c then c
-            else find (c + 1)
-          in
-          let c = find c0 in
-          take_mem mem c;
-          Hashtbl.replace mem_stores mem (c :: (try Hashtbl.find mem_stores mem with Not_found -> []));
-          note_chain c 1.0;
-          place g c
+      | Ir.Bin { dst; _ } | Ir.Un { dst; _ } | Ir.Copy { dst; _ } | Ir.Castop { dst; _ } ->
+          let c, t_end = Deps.alu_slot d g ~free:(fun _ -> true) in
+          Deps.place d g c ~ns:t_end;
+          Deps.define d dst c t_end
+      | Ir.Load { mem; _ } | Ir.Store { mem; _ } ->
+          let used c = try Hashtbl.find mem_slots (mem, c mod ii) with Not_found -> 0 in
+          let c = find (fun c -> used c < ports_of mem) (Deps.mem_floor d g) in
+          Hashtbl.replace mem_slots (mem, c mod ii) (1 + used c);
+          Deps.place d g c ~ns:1.0;
+          (match g.Ir.i with Ir.Load { dst; _ } -> Deps.define d dst (c + 1) 0.0 | _ -> ())
       | Ir.Sread { stream; _ } | Ir.Swrite { stream; _ } ->
-          let c0 = registered_cycle g in
-          let c0 =
-            match g.Ir.i with
-            | Ir.Sread { dst; _ } -> Stdlib.max c0 (war_floor dst)
-            | _ -> c0
-          in
-          let c0 =
-            match Hashtbl.find_opt last_stream_cycle stream with
-            | Some prev -> Stdlib.max c0 (prev + 1)
-            | None -> c0
-          in
-          let rec find c =
-            if c > limit then raise Infeasible
-            else if not (Hashtbl.mem stream_slots (stream, c mod ii)) then c
-            else find (c + 1)
-          in
-          let c = find c0 in
+          let prev = Hashtbl.find_opt last_stream_cycle stream in
+          let c0 = Stdlib.max (Deps.issue_floor d g) (match prev with Some p -> p + 1 | None -> 0) in
+          let c = find (fun c -> not (Hashtbl.mem stream_slots (stream, c mod ii))) c0 in
           (* FIFO order across overlapped iterations: consecutive ops on
              one stream must fit within one II window *)
-          (match Hashtbl.find_opt last_stream_cycle stream with
-          | Some prev when c - prev >= ii + 1 -> raise Infeasible
-          | _ -> ());
+          (match prev with Some p when c - p >= ii + 1 -> raise Infeasible | _ -> ());
           Hashtbl.replace stream_slots (stream, c mod ii) true;
           Hashtbl.replace last_stream_cycle stream c;
-          note_chain c 1.0;
+          Deps.place d g c ~ns:1.0;
           (match g.Ir.i with
           | Ir.Sread { dst; _ } ->
               (* show-ahead FIFO: the head of the queue is combinationally
                  valid during the handshake cycle (after the output mux
                  delay), so cheap consumers — e.g. a FIR delay-line load —
                  can chain in the same cycle and keep II = 1 *)
-              Hashtbl.replace avail dst (c, 2.5)
-          | _ -> ());
-          place g c
+              Deps.define d dst c 2.5
+          | _ -> ())
       | Ir.Extcall { dst; func; latency; _ } ->
-          let c0 = Stdlib.max (registered_cycle g) (war_floor dst) in
-          let rec find c =
-            if c > limit then raise Infeasible
-            else if not (Hashtbl.mem ext_slots (func, c mod ii)) then c
-            else find (c + 1)
-          in
-          let c = find c0 in
+          let c = find (fun c -> not (Hashtbl.mem ext_slots (func, c mod ii))) (Deps.issue_floor d g) in
           Hashtbl.replace ext_slots (func, c mod ii) true;
-          note_chain c 1.0;
-          Hashtbl.replace avail dst (c + latency, 0.0);
-          place g c
-      | Ir.Tap _ ->
-          (* latch-enable: fires on the edge where its last operand
-             commits; operand-less markers anchor to the current point *)
-          let c =
-            if deps_of g = [] then
-              List.fold_left (fun acc (_, c) -> Stdlib.max acc c) 0 !placed
-            else
-              List.fold_left
-                (fun acc op ->
-                  let c', t' = operand_ready op in
-                  let commit = if t' > 0.0 then c' else Stdlib.max 0 (c' - 1) in
-                  Stdlib.max acc commit)
-                0 (deps_of g)
-          in
-          place g c)
+          Deps.place d g c ~ns:1.0;
+          Deps.define d dst (c + latency) 0.0
+      | Ir.Tap _ -> Deps.place d g (Deps.tap_slot d g) ~ns:0.0)
     insts;
-  let placed = List.rev !placed in
   (* Cross-iteration memory ordering: when a memory is written, all of
      one iteration's accesses must fit inside a single II window,
      otherwise a trailing store of iteration k lands after iteration
      k+1's leading access and program order breaks.  Read-only memories
-     (ROMs) are exempt. *)
+     (ROMs) are exempt.  The iteration lasts until its last result
+     commits. *)
+  let placed = Array.init (Deps.horizon d + 1) (Deps.ops d) in
   let mem_spans : (string, int * int * bool) Hashtbl.t = Hashtbl.create 4 in
-  List.iter
-    (fun ((g : Ir.ginst), c) ->
-      match g.Ir.i with
-      | Ir.Load { mem; _ } | Ir.Store { mem; _ } ->
-          let lo, hi, written =
-            try Hashtbl.find mem_spans mem with Not_found -> (max_int, min_int, false)
-          in
-          let is_store = match g.Ir.i with Ir.Store _ -> true | _ -> false in
-          Hashtbl.replace mem_spans mem
-            (Stdlib.min lo c, Stdlib.max hi c, written || is_store)
-      | _ -> ())
+  let depth = ref 1 in
+  Array.iteri
+    (fun c ops ->
+      List.iter
+        (fun (g : Ir.ginst) ->
+          (match g.Ir.i with
+          | Ir.Load { mem; _ } | Ir.Store { mem; _ } ->
+              let lo, hi, written =
+                try Hashtbl.find mem_spans mem with Not_found -> (max_int, min_int, false)
+              in
+              let is_store = match g.Ir.i with Ir.Store _ -> true | _ -> false in
+              Hashtbl.replace mem_spans mem
+                (Stdlib.min lo c, Stdlib.max hi c, written || is_store)
+          | _ -> ());
+          let fin = match g.Ir.i with Ir.Extcall { latency; _ } -> c + latency | _ -> c + 1 in
+          depth := Stdlib.max !depth fin)
+        ops)
     placed;
   Hashtbl.iter
     (fun _ (lo, hi, written) -> if written && hi - lo >= ii then raise Infeasible)
     mem_spans;
-  (* loop-carried constraint: any register written in the body must be
-     committed before the next issue (cycle <= ii-1) if some read of it
-     is not satisfied by an in-iteration earlier write.  Conservatively
-     we require it for every body-written register that is also read by
-     the loop (cond/step reads are checked by the caller). *)
-  let depth =
-    List.fold_left
-      (fun acc (g, c) ->
-        let fin =
-          match g.Ir.i with Ir.Extcall { latency; _ } -> c + latency | _ -> c + 1
-        in
-        Stdlib.max acc fin)
-      1 placed
-  in
-  let max_chain = Hashtbl.fold (fun _ t acc -> Stdlib.max acc t) chain 0.0 in
-  (placed, depth, max_chain)
+  let cycle_ops = Array.init !depth (fun c -> if c < Array.length placed then placed.(c) else []) in
+  (cycle_ops, Array.fold_left Stdlib.max 0.0 (Array.init (Array.length placed) (Deps.chain d)))
 
 (** Registers that carry values across iterations: written somewhere in
     [body_insts] and read either by [issue_insts] (cond/step) or by a
@@ -356,19 +178,12 @@ let loop_carried ~(body_insts : Ir.ginst list) ~(issue_insts : Ir.ginst list) =
     body_insts;
   !carried
 
-type t = {
-  sched : schedule;
-  cond_insts : Ir.ginst list;
-  cond : Ir.reg;
-  step_insts : Ir.ginst list;
-}
-
-(** Attempt to pipeline a loop.  Returns [None] (caller falls back to a
-    sequential schedule) when the body cannot be if-converted, when the
-    condition or step needs memory or stream access, or when no feasible
-    II up to a generous bound exists. *)
+(** Attempt to pipeline a loop exiting to state [exit_to].  Returns
+    [None] (caller falls back to a sequential schedule) when the body
+    cannot be if-converted, when the condition or step needs memory or
+    stream access, or when no feasible II up to a generous bound exists. *)
 let make (proc : Ir.proc_ir) ~(cond_insts : Ir.ginst list) ~(cond : Ir.reg)
-    ~(body : Ir.body) ~(step_insts : Ir.ginst list) : t option =
+    ~(body : Ir.body) ~(step_insts : Ir.ginst list) ~exit_to : Fsmd.pipe option =
   match if_convert body ~guard:None with
   | None -> None
   | Some insts ->
@@ -405,35 +220,37 @@ let make (proc : Ir.proc_ir) ~(cond_insts : Ir.ginst list) ~(cond : Ir.reg)
           else
             match try_schedule proc insts ~ii with
             | exception Infeasible -> search (ii + 1)
-            | placed, depth, chain ->
+            | cycle_ops, chain_ns ->
                 (* loop-carried writes must commit before the next issue *)
-                let ok =
-                  List.for_all
-                    (fun (g, c) ->
-                      match Ir.dst_of g.Ir.i with
-                      | Some d when List.mem d carried ->
-                          let fin =
-                            match g.Ir.i with
-                            | Ir.Extcall { latency; _ } -> c + latency
-                            | Ir.Load _ -> c + 1
-                            | _ -> c
-                          in
-                          fin <= ii - 1
-                      | _ -> true)
-                    placed
+                let commits_in_time c (g : Ir.ginst) =
+                  match Ir.dst_of g.Ir.i with
+                  | Some r when List.mem r carried ->
+                      let fin =
+                        match g.Ir.i with
+                        | Ir.Extcall { latency; _ } -> c + latency
+                        | Ir.Load _ -> c + 1
+                        | _ -> c
+                      in
+                      fin <= ii - 1
+                  | _ -> true
                 in
-                if not ok then search (ii + 1)
-                else begin
-                  let cycle_ops = Array.make depth [] in
-                  List.iter (fun (g, c) -> cycle_ops.(c) <- cycle_ops.(c) @ [ g ]) placed;
+                if
+                  Seq.for_all
+                    (fun (c, ops) -> List.for_all (commits_in_time c) ops)
+                    (Array.to_seqi cycle_ops)
+                then
                   Some
                     {
-                      sched = { ii; depth; cycle_ops; chain_ns = chain; insts = placed };
+                      Fsmd.ii;
+                      depth = Array.length cycle_ops;
                       cond_insts;
                       cond;
                       step_insts;
+                      cycle_ops;
+                      exit_to;
+                      pipe_chain_ns = chain_ns;
                     }
-                end
+                else search (ii + 1)
         in
         search (Stdlib.max 1 ii_start)
       end

@@ -10,47 +10,15 @@
     Impulse-C behaviour behind the paper's unoptimized in-loop assertion
     rate loss (Section 5.4, Table 4). *)
 
-module Ir = Mir.Ir
-
-type schedule = {
-  ii : int;
-  depth : int;
-  cycle_ops : Ir.ginst list array;
-  chain_ns : float;
-  insts : (Ir.ginst * int) list;  (** each instruction with its cycle *)
-}
-
-(** Flatten a loop body into one guarded instruction list; [None] when
-    it contains nested loops or nested conditionals (one predication
-    level is supported — enough for assertion failure branches). *)
-val if_convert :
-  Mir.Ir.body -> guard:(Ir.reg * bool) option -> Ir.ginst list option
-
-val is_pure_alu : Ir.ginst -> bool
-
-(** Combinational delay model used by both schedulers. *)
-val inst_delay : Ir.inst -> float
-
-(** Registers carrying values across iterations: written in the body and
-    read at issue (cond/step) or read at-or-before the writing position. *)
-val loop_carried :
-  body_insts:Ir.ginst list -> issue_insts:Ir.ginst list -> Ir.reg list
-
-type t = {
-  sched : schedule;
-  cond_insts : Ir.ginst list;
-  cond : Ir.reg;
-  step_insts : Ir.ginst list;
-}
-
-(** Attempt to pipeline a loop; [None] (caller falls back to a
-    sequential schedule) when the body cannot be if-converted, the
-    condition or step needs memory or stream access, or no feasible II
-    exists within a generous bound. *)
+(** Attempt to pipeline a loop whose exit continues at state [exit_to];
+    [None] (caller falls back to a sequential schedule) when the body
+    cannot be if-converted, the condition or step needs memory or stream
+    access, or no feasible II exists within a generous bound. *)
 val make :
-  Ir.proc_ir ->
-  cond_insts:Ir.ginst list ->
-  cond:Ir.reg ->
+  Mir.Ir.proc_ir ->
+  cond_insts:Mir.Ir.ginst list ->
+  cond:Mir.Ir.reg ->
   body:Mir.Ir.body ->
-  step_insts:Ir.ginst list ->
-  t option
+  step_insts:Mir.Ir.ginst list ->
+  exit_to:int ->
+  Fsmd.pipe option

@@ -14,11 +14,6 @@
     - external HDL calls have a fixed latency with wait states. *)
 
 module Ir = Mir.Ir
-module Stratix = Device.Stratix
-
-let budget = Stratix.chain_budget_ns
-
-let inst_delay = Pipeline.inst_delay
 
 (* --- Segment scheduling ---------------------------------------------------- *)
 
@@ -30,205 +25,61 @@ type seg_schedule = {
 (* Greedy in-order list scheduling with operator chaining.  Later
    instructions may still land in earlier states when dependences and
    resources allow (e.g. an assertion tap load slotting into a free
-   memory port — Table 3's "non-consecutive" row). *)
+   memory port — Table 3's "non-consecutive" row).  The dependence rules
+   live in {!Deps}; this keeps the state policy: stream handshakes take
+   exclusive states in program order, memories ration their ports per
+   state, and an external call holds its unit for one state and waits out
+   its latency. *)
 let schedule_segment (proc : Ir.proc_ir) (seg : Ir.ginst list) : seg_schedule =
-  let avail : (Ir.reg, int * float) Hashtbl.t = Hashtbl.create 32 in
-  let ops_at : (int, Ir.ginst list) Hashtbl.t = Hashtbl.create 16 in
-  let chain_at : (int, float) Hashtbl.t = Hashtbl.create 16 in
+  let d = Deps.create () in
   let exclusive : (int, unit) Hashtbl.t = Hashtbl.create 4 in
   let port_use : (string * int, int) Hashtbl.t = Hashtbl.create 16 in
   let ext_use : (string * int, unit) Hashtbl.t = Hashtbl.create 4 in
-  let last_read : (Ir.reg, int) Hashtbl.t = Hashtbl.create 16 in
-  let last_write : (Ir.reg, int) Hashtbl.t = Hashtbl.create 16 in
-  let last_mem_store : (string, int) Hashtbl.t = Hashtbl.create 4 in
-  let last_mem_load : (string, int) Hashtbl.t = Hashtbl.create 4 in
   let last_stream_state = ref (-1) in
-  let max_state = ref (-1) in
-  let note_state s = if s > !max_state then max_state := s in
-  let add_op s g =
-    Hashtbl.replace ops_at s (g :: (try Hashtbl.find ops_at s with Not_found -> []));
-    note_state s
-  in
-  let note_chain s t =
-    let cur = try Hashtbl.find chain_at s with Not_found -> 0.0 in
-    if t > cur then Hashtbl.replace chain_at s t
-  in
+  let not_exclusive s = not (Hashtbl.mem exclusive s) in
   let ports_of m = match Ir.find_mem proc m with Some mm -> mm.Ir.ports | None -> 1 in
   let port_free m s =
-    (not (Hashtbl.mem exclusive s))
-    && (try Hashtbl.find port_use (m, s) with Not_found -> 0) < ports_of m
+    not_exclusive s && (try Hashtbl.find port_use (m, s) with Not_found -> 0) < ports_of m
   in
-  let take_port m s =
-    Hashtbl.replace port_use (m, s)
-      (1 + (try Hashtbl.find port_use (m, s) with Not_found -> 0))
-  in
-  let operand_avail = function
-    | Ir.Imm _ -> (0, 0.0)
-    | Ir.Reg r -> ( try Hashtbl.find avail r with Not_found -> (0, 0.0))
-  in
-  let deps g =
-    let guard = match g.Ir.guard with Some (r, _) -> [ Ir.Reg r ] | None -> [] in
-    guard @ List.map (fun r -> Ir.Reg r) (Ir.uses_of g.Ir.i)
-  in
-  let ready g =
-    List.fold_left
-      (fun (s, t) op ->
-        let s', t' = operand_avail op in
-        if s' > s then (s', t') else if s' = s then (s, Stdlib.max t t') else (s, t))
-      (0, 0.0) (deps g)
-  in
-  (* anti-dependences: a write to r must not land before a state where r
-     was read or written; reads note their state for later writers *)
-  let war_floor dst =
-    let r = try Hashtbl.find last_read dst with Not_found -> -1 in
-    let w = try Hashtbl.find last_write dst with Not_found -> -1 in
-    Stdlib.max r (w + 1)
-  in
-  let note_reads g s =
-    List.iter
-      (fun op ->
-        match op with
-        | Ir.Reg r ->
-            let cur = try Hashtbl.find last_read r with Not_found -> -1 in
-            if s > cur then Hashtbl.replace last_read r s
-        | Ir.Imm _ -> ())
-      (deps g)
-  in
-  let note_write dst s = Hashtbl.replace last_write dst s in
-  let registered g =
-    let s, t = ready g in
-    if t > 0.0 then s + 1 else s
-  in
-  let rec first_free_state pred s = if pred s then s else first_free_state pred (s + 1) in
-  let not_exclusive s = not (Hashtbl.mem exclusive s) in
   (* taps are pure wire latches: they may share any state, including
      stream handshake states, and never make a state "occupied" *)
-  let state_empty s =
-    match Hashtbl.find_opt ops_at s with
-    | None -> true
-    | Some ops -> List.for_all (fun (g : Ir.ginst) -> match g.Ir.i with Ir.Tap _ -> true | _ -> false) ops
-  in
+  let handshake_free s = not_exclusive s && not (Deps.busy d s) in
   List.iter
     (fun (g : Ir.ginst) ->
       match g.Ir.i with
-      | Ir.Bin _ | Ir.Un _ | Ir.Copy _ | Ir.Castop _ ->
-          let d = inst_delay g.Ir.i in
-          let s, t = ready g in
-          let dst = match Ir.dst_of g.Ir.i with Some d' -> d' | None -> assert false in
-          let floor = war_floor dst in
-          let s, t = if floor > s then (floor, 0.0) else (s, t) in
-          let s = first_free_state not_exclusive s in
-          let s, t_end =
-            if t +. d <= budget then (s, t +. d)
-            else (first_free_state not_exclusive (s + 1), d)
-          in
-          add_op s g;
-          note_chain s t_end;
-          note_reads g s;
-          note_write dst s;
-          Hashtbl.replace avail dst (s, t_end)
-      | Ir.Load { dst; mem; _ } ->
-          (* the M4K registers its address at the clock edge, so address
-             computation may chain into the load's state *)
-          let s0 =
-            let s, t = ready g in
-            if t +. 1.0 <= budget then s else s + 1
-          in
-          let s0 = Stdlib.max s0 (war_floor dst) in
-          let s0 =
-            match Hashtbl.find_opt last_mem_store mem with
-            | Some st -> Stdlib.max s0 (st + 1)
-            | None -> s0
-          in
-          let s = first_free_state (port_free mem) s0 in
-          take_port mem s;
-          Hashtbl.replace last_mem_load mem
-            (Stdlib.max s (try Hashtbl.find last_mem_load mem with Not_found -> -1));
-          add_op s g;
-          note_chain s 1.0;
-          note_reads g s;
-          note_write dst s;
-          Hashtbl.replace avail dst (s + 1, 0.0)
-      | Ir.Store { mem; _ } ->
-          let s0 =
-            let s, t = ready g in
-            if t +. 1.0 <= budget then s else s + 1
-          in
-          let s0 =
-            match Hashtbl.find_opt last_mem_store mem with
-            | Some st -> Stdlib.max s0 (st + 1)
-            | None -> s0
-          in
-          let s0 =
-            match Hashtbl.find_opt last_mem_load mem with
-            | Some ld -> Stdlib.max s0 ld
-            | None -> s0
-          in
-          let s = first_free_state (port_free mem) s0 in
-          take_port mem s;
-          Hashtbl.replace last_mem_store mem s;
-          add_op s g;
-          note_chain s 1.0;
-          note_reads g s
-      | Ir.Sread { dst; stream = _ } ->
-          let s0 = Stdlib.max (registered g) (!last_stream_state + 1) in
-          let s0 = Stdlib.max s0 (war_floor dst) in
-          let s = first_free_state (fun s -> state_empty s && not_exclusive s) s0 in
+      | Ir.Bin { dst; _ } | Ir.Un { dst; _ } | Ir.Copy { dst; _ } | Ir.Castop { dst; _ } ->
+          let s, t_end = Deps.alu_slot d g ~free:not_exclusive in
+          Deps.place d g s ~ns:t_end;
+          Deps.define d dst s t_end
+      | Ir.Load { mem; _ } | Ir.Store { mem; _ } ->
+          let s = Deps.first (port_free mem) (Deps.mem_floor d g) in
+          Hashtbl.replace port_use (mem, s)
+            (1 + (try Hashtbl.find port_use (mem, s) with Not_found -> 0));
+          Deps.place d g s ~ns:1.0;
+          (match g.Ir.i with Ir.Load { dst; _ } -> Deps.define d dst (s + 1) 0.0 | _ -> ())
+      | Ir.Sread _ | Ir.Swrite _ ->
+          let s0 = Stdlib.max (Deps.issue_floor d g) (!last_stream_state + 1) in
+          let s = Deps.first handshake_free s0 in
           Hashtbl.replace exclusive s ();
           last_stream_state := s;
-          add_op s g;
-          note_chain s 1.0;
-          note_write dst s;
-          Hashtbl.replace avail dst (s + 1, 0.0)
-      | Ir.Swrite _ ->
-          let s0 = Stdlib.max (registered g) (!last_stream_state + 1) in
-          let s = first_free_state (fun s -> state_empty s && not_exclusive s) s0 in
-          Hashtbl.replace exclusive s ();
-          last_stream_state := s;
-          add_op s g;
-          note_chain s 1.0;
-          note_reads g s
+          Deps.place d g s ~ns:1.0;
+          (match g.Ir.i with Ir.Sread { dst; _ } -> Deps.define d dst (s + 1) 0.0 | _ -> ())
       | Ir.Extcall { dst; func; latency; _ } ->
-          let s0 = Stdlib.max (registered g) (war_floor dst) in
           let s =
-            first_free_state
+            Deps.first
               (fun s -> not_exclusive s && not (Hashtbl.mem ext_use (func, s)))
-              s0
+              (Deps.issue_floor d g)
           in
           Hashtbl.replace ext_use (func, s) ();
-          add_op s g;
-          note_chain s 1.0;
-          note_reads g s;
-          note_write dst s;
-          Hashtbl.replace avail dst (s + latency, 0.0);
-          note_state (s + latency - 1)  (* wait states *)
-      | Ir.Tap _ ->
-          (* a tap is a latch-enable on existing registers: it fires on
-             the clock edge where its last operand commits, so it never
-             needs a state of its own.  An operand-less tap (a pure code
-             marker, e.g. for timing assertions) anchors to the current
-             program point instead. *)
-          let s =
-            if deps g = [] then Stdlib.max 0 !max_state
-            else
-              List.fold_left
-                (fun acc op ->
-                  let s', t' = operand_avail op in
-                  let commit = if t' > 0.0 then s' else Stdlib.max 0 (s' - 1) in
-                  Stdlib.max acc commit)
-                0 (deps g)
-          in
-          add_op s g;
-          note_reads g s)
+          Deps.place d g s ~ns:1.0;
+          Deps.define d dst (s + latency) 0.0;
+          (* the wait states belong to the segment, so an operand-less tap
+             after the call anchors past them *)
+          Deps.extend d (s + latency - 1)
+      | Ir.Tap _ -> Deps.place d g (Deps.tap_slot d g) ~ns:0.0)
     seg;
-  let n = !max_state + 1 in
-  let state_ops = Array.make (Stdlib.max n 0) [] in
-  let state_chain = Array.make (Stdlib.max n 0) 0.0 in
-  for s = 0 to n - 1 do
-    state_ops.(s) <- List.rev (try Hashtbl.find ops_at s with Not_found -> []);
-    state_chain.(s) <- (try Hashtbl.find chain_at s with Not_found -> 0.0)
-  done;
-  { state_ops; state_chain }
+  let n = Deps.horizon d + 1 in
+  { state_ops = Array.init n (Deps.ops d); state_chain = Array.init n (Deps.chain d) }
 
 (* --- FSMD assembly ----------------------------------------------------------- *)
 
@@ -259,40 +110,22 @@ let add_pipe b pipe =
   b.npipes <- id + 1;
   id
 
-(* Emit a scheduled segment as a chain of states ending in [follow].
-   Returns the entry state (or [follow] when the segment is empty). *)
-let emit_segment b (sched : seg_schedule) ~follow =
+(* Emit a scheduled segment as a chain of at least [min_states] states
+   and return its entry ([follow] when the chain is empty).  The states
+   are allocated before [last] runs, so a loop can aim its body at the
+   entry; [last entry] gives the final state's successor. *)
+let emit_chain b (sched : seg_schedule) ~min_states ~follow last =
   let n = Array.length sched.state_ops in
-  if n = 0 then follow
+  let ids = Array.init (Stdlib.max min_states n) (fun _ -> alloc b) in
+  let k = Array.length ids in
+  if k = 0 then follow
   else begin
-    let ids = Array.init n (fun _ -> alloc b) in
+    let exit = last ids.(0) in
     Array.iteri
       (fun i id ->
-        let next = if i = n - 1 then Fsmd.Goto follow else Fsmd.Goto ids.(i + 1) in
-        set b id sched.state_ops.(i) next sched.state_chain.(i))
-      ids;
-    ids.(0)
-  end
-
-(* Emit a segment whose LAST state branches on [cond]. *)
-let emit_cond_segment b proc (cond_insts : Ir.ginst list) ~cond ~on_true ~on_false =
-  let sched = schedule_segment proc cond_insts in
-  let n = Array.length sched.state_ops in
-  if n = 0 then begin
-    (* no work: a bare branch state (the if still costs its cycle) *)
-    let id = alloc b in
-    set b id [] (Fsmd.Branch (cond, on_true, on_false)) 0.0;
-    id
-  end
-  else begin
-    let ids = Array.init n (fun _ -> alloc b) in
-    Array.iteri
-      (fun i id ->
-        let next =
-          if i = n - 1 then Fsmd.Branch (cond, on_true, on_false)
-          else Fsmd.Goto ids.(i + 1)
-        in
-        set b id sched.state_ops.(i) next sched.state_chain.(i))
+        let next = if i = k - 1 then exit else Fsmd.Goto ids.(i + 1) in
+        if i < n then set b id sched.state_ops.(i) next sched.state_chain.(i)
+        else set b id [] next 0.0)
       ids;
     ids.(0)
   end
@@ -305,63 +138,40 @@ let rec emit_body b (proc : Ir.proc_ir) (body : Ir.body) ~follow =
       emit_item b proc item ~follow:rest_entry
 
 and emit_item b proc item ~follow =
+  let segment insts = schedule_segment proc insts in
   match item with
-  | Ir.Straight seg -> emit_segment b (schedule_segment proc seg) ~follow
+  | Ir.Straight seg ->
+      emit_chain b (segment seg) ~min_states:0 ~follow (fun _ -> Fsmd.Goto follow)
   | Ir.If_else { cond_insts; cond; then_; else_ } ->
       let then_entry = emit_body b proc then_ ~follow in
       let else_entry = emit_body b proc else_ ~follow in
-      emit_cond_segment b proc cond_insts ~cond ~on_true:then_entry ~on_false:else_entry
+      (* the condition costs at least one state, even when bare *)
+      emit_chain b (segment cond_insts) ~min_states:1 ~follow (fun _ ->
+          Fsmd.Branch (cond, then_entry, else_entry))
   | Ir.Loop { cond_insts; cond; body; step_insts; pipelined } -> (
-      let pipe_attempt =
-        if pipelined then Pipeline.make proc ~cond_insts ~cond ~body ~step_insts
+      let pipe =
+        if pipelined then Pipeline.make proc ~cond_insts ~cond ~body ~step_insts ~exit_to:follow
         else None
       in
-      match pipe_attempt with
-      | Some p ->
-          let pipe : Fsmd.pipe =
-            {
-              Fsmd.ii = p.Pipeline.sched.Pipeline.ii;
-              depth = p.Pipeline.sched.Pipeline.depth;
-              cond_insts = p.Pipeline.cond_insts;
-              cond = p.Pipeline.cond;
-              step_insts = p.Pipeline.step_insts;
-              cycle_ops = p.Pipeline.sched.Pipeline.cycle_ops;
-              exit_to = follow;
-              pipe_chain_ns = p.Pipeline.sched.Pipeline.chain_ns;
-            }
-          in
-          let pid = add_pipe b pipe in
+      match pipe with
+      | Some pipe ->
           let id = alloc b in
-          set b id [] (Fsmd.Enter_pipe pid) 0.0;
+          set b id [] (Fsmd.Enter_pipe (add_pipe b pipe)) 0.0;
           id
       | None ->
           if pipelined then
             Logs.warn (fun m ->
                 m "loop in %s could not be pipelined; falling back to sequential schedule"
                   proc.Ir.name);
-          (* sequential loop: cond states host the exit branch *)
-          (* allocate the cond entry lazily via a forward reference *)
-          let cond_sched = schedule_segment proc cond_insts in
-          let ncond = Array.length cond_sched.state_ops in
-          let cond_ids = Array.init (Stdlib.max ncond 1) (fun _ -> alloc b) in
-          let cond_entry = cond_ids.(0) in
-          let step_entry =
-            if step_insts = [] then cond_entry
-            else emit_segment b (schedule_segment proc step_insts) ~follow:cond_entry
-          in
-          let body_entry = emit_body b proc body ~follow:step_entry in
-          if ncond = 0 then
-            set b cond_ids.(0) [] (Fsmd.Branch (cond, body_entry, follow)) 0.0
-          else
-            Array.iteri
-              (fun i id ->
-                let next =
-                  if i = ncond - 1 then Fsmd.Branch (cond, body_entry, follow)
-                  else Fsmd.Goto cond_ids.(i + 1)
-                in
-                set b id cond_sched.state_ops.(i) next cond_sched.state_chain.(i))
-              cond_ids;
-          cond_entry)
+          (* sequential loop: the condition states host the exit branch;
+             the step and body run back into the condition's entry *)
+          emit_chain b (segment cond_insts) ~min_states:1 ~follow (fun cond_entry ->
+              let step_entry =
+                emit_chain b (segment step_insts) ~min_states:0 ~follow:cond_entry (fun _ ->
+                    Fsmd.Goto cond_entry)
+              in
+              let body_entry = emit_body b proc body ~follow:step_entry in
+              Fsmd.Branch (cond, body_entry, follow)))
 
 (** Compile one process to an FSMD. *)
 let compile_proc (proc : Ir.proc_ir) : Fsmd.t =

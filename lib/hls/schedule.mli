@@ -9,28 +9,8 @@
     path, the unoptimized assertion overhead of Table 3; external HDL
     calls have fixed latency with wait states. *)
 
-module Ir = Mir.Ir
-
-(** Chain budget per state (ns). *)
-val budget : float
-
-(** Combinational delay model of one instruction (re-exported from
-    {!Pipeline}). *)
-val inst_delay : Ir.inst -> float
-
-type seg_schedule = {
-  state_ops : Ir.ginst list array;
-  state_chain : float array;
-}
-
-(** Greedy in-order list scheduling with operator chaining.  Later
-    instructions may land in earlier states when dependences and
-    resources allow (e.g. an assertion tap load slotting into a free
-    memory port — Table 3's "non-consecutive" row). *)
-val schedule_segment : Ir.proc_ir -> Ir.ginst list -> seg_schedule
-
 (** Compile one process to an FSMD (sequential states plus
     modulo-scheduled pipes for [#pragma pipeline] loops; loops that
     cannot be pipelined fall back to sequential schedules with a
     warning). *)
-val compile_proc : Ir.proc_ir -> Fsmd.t
+val compile_proc : Mir.Ir.proc_ir -> Fsmd.t

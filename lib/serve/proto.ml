@@ -199,6 +199,11 @@ let describe () : Json.t =
                   ("strategy", "string (default \"optimized\")");
                   ("nabort", "bool (default false)");
                   ("ndebug", "bool (default false)");
+                  ("only", "[string] | null (default null: every diagnostic code)");
+                  ("ignore", "[string] | null (default null: none)");
+                  ( "watchdog",
+                    "int >= 1 | null (default null): window measured against the proved \
+                     completion bound" );
                 ] );
             ( "prove",
               fields
@@ -216,11 +221,12 @@ let describe () : Json.t =
                 @ stimulus_doc
                 @ [
                     ("budget", "int | null (default: 4x baseline + slack)");
-                    ("watchdog", "int | null (default: budget/20, floor 200)");
+                    ("watchdog", "int >= 1 | null (default: budget/20, floor 200)");
                     ("max_mutants", "int | null (default: unlimited)");
                     ("jobs", "int | null");
                     ("from_reset", "bool (default false)");
                     ("max_cycles", "int (default 1000000)");
+                    ("prune_hangs", "bool (default true)");
                   ]) );
             ( "mine",
               fields
@@ -244,7 +250,7 @@ let describe () : Json.t =
                   ("count", "int | null (default: 200)");
                   ("fuel", "int | null (default: 8)");
                   ("max_cycles", "int | null");
-                  ("watchdog", "int | null");
+                  ("watchdog", "int >= 1 | null");
                   ("bmc_depth", "int | null (default null: cross-check disabled)");
                   ("corpus_dir", "string | null (default null: no reproducers written)");
                   ("jobs", "int | null");

@@ -204,10 +204,21 @@ let do_compile (c : Job.compile_params) : outcome =
         sc_result = Some (R_compile comp);
       }
 
+(* An out-of-range numeric job field is a usage error naming the field,
+   raised before any source is compiled. *)
+let at_least kind name min v =
+  if v < min then
+    raise (Usage (Printf.sprintf "%s: %s must be at least %d (got %d)" kind name min v))
+
+(* A watchdog window below one cycle would fire on the first cycle and
+   report every run as a hang. *)
+let check_window kind = Option.iter (at_least kind "watchdog" 1)
+
 (* --- check ---------------------------------------------------------------- *)
 
 let do_check ?progress (k : Job.check_params) : outcome =
   if k.k_sources = [] then raise (Usage "check: no sources given");
+  check_window "check" k.k_watchdog;
   let _, strategy = resolve_strategy ~nabort:k.k_nabort ~ndebug:k.k_ndebug k.k_strategy in
   let share_bits =
     match strategy.Driver.share with `Shared n -> Some n | `Per_proc | `Dma -> None
@@ -280,12 +291,9 @@ let do_check ?progress (k : Job.check_params) : outcome =
 
 let do_prove ?progress ?default_jobs (p : Job.prove_params) : outcome =
   if p.p_sources = [] then raise (Usage "prove: no sources given");
-  let at_least name min v =
-    if v < min then raise (Usage (Printf.sprintf "prove: %s must be at least %d (got %d)" name min v))
-  in
-  at_least "depth" 1 p.p_depth;
-  at_least "induction" 0 p.p_induction;
-  at_least "conflict_limit" 1 p.p_conflict_limit;
+  at_least "prove" "depth" 1 p.p_depth;
+  at_least "prove" "induction" 0 p.p_induction;
+  at_least "prove" "conflict_limit" 1 p.p_conflict_limit;
   let jobs = match p.p_jobs with Some _ as j -> j | None -> default_jobs in
   let prove_one s =
     let file = source_name s in
@@ -464,6 +472,7 @@ let escapes_of (r : Campaign.report) =
     r.Campaign.runs
 
 let do_campaign ?progress ?default_jobs (a : Job.campaign_params) : outcome =
+  check_window "campaign" a.a_watchdog;
   let workloads =
     campaign_workloads ~stimulus:a.a_stimulus ~max_cycles:a.a_max_cycles a.a_source
   in
@@ -576,6 +585,7 @@ let do_mine ?progress ?default_jobs (m : Job.mine_params) : outcome =
 (* --- fuzz ----------------------------------------------------------------- *)
 
 let do_fuzz ?progress ?default_jobs (z : Job.fuzz_params) : outcome =
+  check_window "fuzz" z.z_watchdog;
   let jobs = match z.z_jobs with Some _ as j -> j | None -> default_jobs in
   let r =
     Torture.Fuzz.run ?jobs ~seed:z.z_seed ?count:z.z_count ?fuel:z.z_fuel

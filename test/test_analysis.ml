@@ -347,7 +347,21 @@ let test_lint_undrained_stream () =
   check tbool "overflowing writer is a warning" true
     (severity_of "INCA-L104" shallow = Diag.Warning);
   check tbool "fitting writer is informational" true
-    (has_code "INCA-L104" deep && severity_of "INCA-L104" deep = Diag.Info)
+    (has_code "INCA-L104" deep && severity_of "INCA-L104" deep = Diag.Info);
+  (* the body bumps the counter past the bound: one trip, one write *)
+  let tampered =
+    diags
+      "stream int32 out depth 4;\n\
+       process hw p() {\n\
+      \  int32 i;\n\
+      \  for (i = 0; i < 8; i = i + 1) {\n\
+      \    stream_write(out, i);\n\
+      \    i = i + 7;\n\
+      \  }\n\
+       }\n"
+  in
+  check tbool "no trip count for a loop that changes its counter" true
+    (has_code "INCA-L104" tampered && severity_of "INCA-L104" tampered = Diag.Info)
 
 let test_lint_dead_assertion () =
   let ds =

@@ -234,6 +234,62 @@ let test_bare_job_request () =
       Alcotest.(check string) "kind" "check" (Job.kind r.Serve.Proto.req_job)
   | Error e -> Alcotest.fail e
 
+(* [inca jobs] documents exactly the keys the codec writes: for each
+   kind, a job with every optional field set encodes to the documented
+   key set (plus "kind"). *)
+let full_jobs =
+  let src = Job.Path "x.c" in
+  let stim = Job.empty_stimulus in
+  [
+    Job.Compile
+      {
+        Job.c_source = src; c_strategy = "optimized"; c_nabort = false; c_ndebug = false;
+        c_prune_proved = false; c_prune_induction = 0;
+      };
+    Job.Check
+      {
+        Job.k_sources = [ src ]; k_strategy = "optimized"; k_nabort = false;
+        k_ndebug = false; k_only = Some [ "INCA-L104" ]; k_ignore = Some [];
+        k_watchdog = Some 10;
+      };
+    Job.Prove
+      {
+        Job.p_sources = [ src ]; p_depth = 4; p_induction = 2; p_assertion = Some 0;
+        p_conflict_limit = 10; p_jobs = Some 1;
+      };
+    Job.Campaign
+      {
+        Job.a_source = Some src; a_stimulus = stim; a_budget = Some 1; a_watchdog = Some 1;
+        a_max_mutants = Some 1; a_jobs = Some 1; a_from_reset = false; a_max_cycles = 1;
+        a_prune_hangs = true;
+      };
+    Job.Mine
+      {
+        Job.m_source = src; m_strategy = "parallelized"; m_stimulus = stim; m_top = 1;
+        m_max_candidates = 1; m_max_mutants = Some 1; m_budget = Some 1; m_jobs = Some 1;
+        m_emit = false;
+      };
+    Job.Fuzz
+      {
+        Job.z_seed = 1L; z_count = Some 1; z_fuel = Some 1; z_max_cycles = Some 1;
+        z_watchdog = Some 1; z_bmc_depth = Some 1; z_corpus_dir = Some "d"; z_jobs = Some 1;
+      };
+  ]
+
+let test_schema_matches_codec () =
+  let keys j = List.sort compare (List.map fst (Option.get (Json.get_obj j))) in
+  let documented = Option.get (Json.member "jobs" (Serve.Proto.describe ())) in
+  Alcotest.(check (list string)) "every kind documented"
+    (List.sort compare (List.map Job.kind full_jobs))
+    (keys documented);
+  List.iter
+    (fun job ->
+      let kind = Job.kind job in
+      Alcotest.(check (list string)) (kind ^ " keys")
+        (List.filter (( <> ) "kind") (keys (Job.to_json job)))
+        (keys (Option.get (Json.member kind documented))))
+    full_jobs
+
 (* --- scheduler ------------------------------------------------------------- *)
 
 let campaign_job ~jobs =
@@ -431,12 +487,42 @@ let check_prove_refused field (rep : Report.t) =
     | Some m -> contains ~sub:(Printf.sprintf "prove: %s must be at least" field) m
     | None -> false)
 
+(* A watchdog window below one cycle is refused the same way for every
+   job kind that takes one: (kind, window, the job's JSON fields). *)
+let bad_windows =
+  List.concat_map
+    (fun w ->
+      [
+        ("check", w, {|"sources": [{"path": "nope.c"}]|});
+        ("campaign", w, {|"source": {"path": "nope.c"}|});
+        ("fuzz", w, {|"seed": 1, "count": 1|});
+      ])
+    [ 0; -5 ]
+
+let window_job_line kind w fields =
+  Printf.sprintf {|{"schema_version": %d, "job": {"kind": "%s", %s, "watchdog": %d}}|}
+    Report.schema_version kind fields w
+
+let check_window_refused kind (rep : Report.t) =
+  Alcotest.(check int) (kind ^ " watchdog: usage exit 1") 1 rep.Report.exit_code;
+  Alcotest.(check bool) (kind ^ " watchdog: error names the field") true
+    (match rep.Report.error with
+    | Some m -> contains ~sub:(kind ^ ": watchdog must be at least 1") m
+    | None -> false)
+
 let test_sched_prove_params_refused () =
   List.iter
     (fun (field, depth, induction, conflict_limit) ->
       let o = Serve.Sched.run (prove_job ~depth ~induction ~conflict_limit) in
       check_prove_refused field o.Serve.Sched.sc_report)
-    bad_prove_params
+    bad_prove_params;
+  List.iter
+    (fun (kind, w, fields) ->
+      match Result.bind (Json.parse (window_job_line kind w fields)) Serve.Proto.decode_request with
+      | Ok req ->
+          check_window_refused kind (Serve.Sched.run req.Serve.Proto.req_job).Serve.Sched.sc_report
+      | Error e -> Alcotest.fail e)
+    bad_windows
 
 (* --- the daemon over a real socket ----------------------------------------- *)
 
@@ -578,6 +664,16 @@ let test_daemon_prove_params_refused () =
       | Ok (_, Serve.Proto.Done { report; _ }) -> check_prove_refused field report
       | _ -> Alcotest.fail ("expected a report, got: " ^ line))
     bad_prove_params;
+  List.iter
+    (fun (kind, w, fields) ->
+      let fd = raw_connect socket in
+      raw_send fd (window_job_line kind w fields);
+      let line = raw_read_line fd in
+      Unix.close fd;
+      match Serve.Proto.decode_event line with
+      | Ok (_, Serve.Proto.Done { report; _ }) -> check_window_refused kind report
+      | _ -> Alcotest.fail ("expected a report, got: " ^ line))
+    bad_windows;
   Serve.Server.stop t
 
 let test_stale_socket_reclaimed () =
@@ -606,6 +702,7 @@ let () =
           Alcotest.test_case "version mismatch rejected" `Quick
             test_version_mismatch_rejected;
           Alcotest.test_case "bare job request form" `Quick test_bare_job_request;
+          Alcotest.test_case "jobs schema = codec keys" `Quick test_schema_matches_codec;
         ] );
       ( "sched",
         [

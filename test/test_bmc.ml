@@ -11,7 +11,9 @@
    byte-identical reports across job counts, and pinned verdicts (class,
    k or cycle, reach) for the examples, the torture corpus and a band of
    generated programs, with the solver's work and the induction model's
-   size pinned for prove_demo and mine_demo. *)
+   size pinned for prove_demo and mine_demo, and the free start state of
+   the induction step pinned at stream depths and state counts that are
+   not powers of two. *)
 
 module Sat = Bmc.Sat
 module Aig = Bmc.Aig
@@ -873,6 +875,140 @@ let test_verdict_pins () =
   done;
   check tstr "generated programs" generated_pin (Digest.to_hex (Digest.string (Buffer.contents b)))
 
+(* --- induction model at bounds that are not powers of two ------------------
+
+   The k-induction step starts from a free state: each process pc may be
+   any state index or the halted sentinel (0..num_states), each FIFO
+   head any slot (0..depth-1) and each committed count any fill level
+   (0..depth).  These programs use stream depths 1, 3 and 5 and
+   processes of 3, 5 and 6 states, so every such bound is checked where
+   the fewest bits that hold it also hold values past it.  Pinned: the
+   exact set of start values each of these takes, and class, k and
+   reach of each assertion (a k=2 proof after a counterexample to
+   induction at k=1, and assertions bounded after counterexamples at
+   every k). *)
+
+let edge_programs =
+  [
+    ( {|stream int32 src depth 3;
+stream int32 mid depth 1;
+stream int32 dst depth 5;
+
+process hw prod() {
+  for (int32 i = 0; i < 9; i = i + 1) {
+    int32 x;
+    x = stream_read(src);
+    assert(i < 9);
+    stream_write(mid, x);
+  }
+}
+
+process hw cons() {
+  int32 total = 0;
+  while (1) {
+    int32 y;
+    y = stream_read(mid);
+    total = total + (y & 7);
+    assert(total <= 1000000);
+    stream_write(dst, total);
+  }
+}
+|},
+      [ ("prod", 6); ("cons", 6) ],
+      [ "#0 proved k=2; reachable at 2"; "#1 bounded 8; reachable at 5" ] );
+    ( {|stream int32 src depth 5;
+stream int32 mid depth 3;
+stream int32 dst depth 1;
+
+process hw sink() {
+  while (1) {
+    int32 x;
+    x = stream_read(src);
+  }
+}
+
+process hw gen() {
+  int32 k = 0;
+  while (1) {
+    k = k + 1;
+    stream_write(mid, k & 7);
+    assert(k != 0);
+  }
+}
+
+process hw pass(int32 n) {
+  for (int32 i = 0; i < n; i = i + 1) {
+    int32 y;
+    y = stream_read(mid);
+    assert(y < 8);
+    stream_write(dst, y);
+  }
+}
+|},
+      [ ("sink", 3); ("gen", 5); ("pass", 6) ],
+      [ "#0 bounded 8; reachable at 2"; "#1 bounded 8; reachable at 4" ] );
+  ]
+
+(* The values in 0..bound+2 that [v] can take in the free start state,
+   and whether it can exceed [bound] at all. *)
+let start_values (model : Model.t) (v : Blast.vec) ~bound =
+  let g = model.Model.g in
+  let solver = Sat.create () in
+  let cnf = Bmc.Cnf.create g solver in
+  List.iter (Bmc.Cnf.assert_lit cnf) model.Model.init_constraints;
+  let sat l = Sat.solve ~assumptions:[ Bmc.Cnf.lit cnf l ] solver = Sat.Sat in
+  ( List.filter
+      (fun n -> sat (Blast.eq_const g v (Int64.of_int n)))
+      (List.init (bound + 3) Fun.id),
+    sat (Blast.ult g (Blast.const (Int64.of_int bound)) v) )
+
+let test_induction_edge_bounds () =
+  let upto n = List.init (n + 1) Fun.id in
+  List.iter
+    (fun (src, states, want) ->
+      let prog = elab src in
+      let model = Model.create ~free_start:true (Verify.model_config (Verify.front_of prog)) in
+      List.iter
+        (fun (p : Model.proc_m) ->
+          let f = p.Model.pm_fsmd in
+          let name = f.Hls.Fsmd.proc.Mir.Ir.name in
+          let n = Hls.Fsmd.num_states f in
+          (match List.assoc_opt name states with
+           | Some want -> check tint (name ^ " states") want n
+           | None -> Alcotest.failf "unexpected process %s" name);
+          check
+            (Alcotest.pair (Alcotest.list tint) tbool)
+            (name ^ " start pc")
+            (upto n, false)
+            (start_values model p.Model.pm_pc ~bound:n))
+        model.Model.procs;
+      List.iter
+        (fun (s : Ast.stream_decl) ->
+          let fm = Hashtbl.find model.Model.fifos s.Ast.sname in
+          let d = s.Ast.depth in
+          check
+            (Alcotest.pair (Alcotest.list tint) tbool)
+            (s.Ast.sname ^ " start head")
+            (upto (d - 1), false)
+            (start_values model fm.Model.hd ~bound:(d - 1));
+          check
+            (Alcotest.pair (Alcotest.list tint) tbool)
+            (s.Ast.sname ^ " start count")
+            (upto d, false)
+            (start_values model fm.Model.ccnt ~bound:d))
+        (Verify.model_config (Verify.front_of prog)).Model.streams;
+      check (Alcotest.list tstr) "verdicts" want (pin_lines prog))
+    edge_programs;
+  let depths =
+    List.concat_map
+      (fun (src, _, _) ->
+        List.map (fun (s : Ast.stream_decl) -> s.Ast.depth) (elab src).Ast.streams)
+      edge_programs
+  in
+  List.iter
+    (fun d -> check tbool (Printf.sprintf "a stream of depth %d" d) true (List.mem d depths))
+    [ 1; 3; 5 ]
+
 let () =
   Alcotest.run "bmc"
     [
@@ -930,5 +1066,9 @@ let () =
             test_replay_simulator_error;
         ] );
       ( "pins",
-        [ Alcotest.test_case "verdicts at depth 8, induction 4" `Slow test_verdict_pins ] );
+        [
+          Alcotest.test_case "verdicts at depth 8, induction 4" `Slow test_verdict_pins;
+          Alcotest.test_case "induction start state at non-power-of-two bounds" `Quick
+            test_induction_edge_bounds;
+        ] );
     ]

@@ -227,6 +227,11 @@ let next_pow2 n =
   let rec go p = if p >= n then p else go (p * 2) in
   go 1
 
+(* Fewest bits that hold every value in 0..n. *)
+let bits_for n =
+  let rec go w = if n < 1 lsl w then w else go (w + 1) in
+  go 0
+
 let mem_written (f : Fsmd.t) (m : Ir.mem) =
   List.exists
     (fun (gi : Ir.ginst) ->
@@ -236,7 +241,10 @@ let mem_written (f : Fsmd.t) (m : Ir.mem) =
 (** Build the model at its start state.  [free_start] replaces the
     concrete reset state with a fresh unconstrained state (for the
     k-induction step); the well-formedness side conditions are returned
-    in [init_constraints] and must be asserted by the caller. *)
+    in [init_constraints] and must be asserted by the caller.  A free pc
+    or FIFO index has only the bits its bound needs, so everything
+    computed from it stays that narrow; the constraints cut the range
+    down to the bound where it is not a power of two. *)
 let create ?(free_start = false) (cfg : config) : t =
   let g = Aig.create () in
   let constraints = ref [] in
@@ -250,9 +258,8 @@ let create ?(free_start = false) (cfg : config) : t =
           (Array.make (max depth 1) (Blast.const 0L), Blast.const 0L, Blast.const 0L)
         else begin
           let cells = Array.init (max depth 1) (fun _ -> free_of_ty g s.elem) in
-          let hd = Blast.inputs g Unsigned 64 in
-          (* small free indices: constrain instead of building narrow vecs *)
-          let ccnt = Blast.inputs g Unsigned 64 in
+          let hd = Blast.inputs g Unsigned (bits_for (max depth 1 - 1)) in
+          let ccnt = Blast.inputs g Unsigned (bits_for depth) in
           constrain (Blast.ult g hd (iconst (max depth 1)));
           constrain (A.neg (Blast.ult g (iconst depth) ccnt));  (* ccnt <= depth *)
           (cells, hd, ccnt)
@@ -309,7 +316,7 @@ let create ?(free_start = false) (cfg : config) : t =
         let pc =
           if not free_start then iconst f.Fsmd.entry
           else begin
-            let pc = Blast.inputs g Unsigned 64 in
+            let pc = Blast.inputs g Unsigned (bits_for nstates) in
             constrain (A.neg (Blast.ult g (iconst nstates) pc));  (* pc <= nstates *)
             pc
           end

@@ -782,7 +782,7 @@ let work_line (r : Verdict.presult) =
 
 let work_pins =
   [
-    ("examples/prove_demo.c", [ "#0 1/32/1658"; "#1 30/1011/119739" ]);
+    ("examples/prove_demo.c", [ "#0 1/32/240"; "#1 34/994/70419" ]);
     ("examples/mine_demo.c", [ "#0 0/62/334" ]);
   ]
 
@@ -855,9 +855,9 @@ let test_verdict_pins () =
     example_pins;
   let prog = elab (read_file (example "examples/prove_demo.c")) in
   let nodes, vars, clauses = induction_model_sizes prog ~id:1 ~max_k:4 in
-  check tint "prove_demo #1 induction model: AIG nodes" 74924 nodes;
-  check tint "prove_demo #1 induction model: SAT variables" 29994 vars;
-  check tint "prove_demo #1 induction model: clauses" 75490 clauses;
+  check tint "prove_demo #1 induction model: AIG nodes" 45669 nodes;
+  check tint "prove_demo #1 induction model: SAT variables" 15646 vars;
+  check tint "prove_demo #1 induction model: clauses" 46264 clauses;
   List.iter
     (fun (name, want) ->
       let path = example (Filename.concat Torture.Corpus.default_dir (name ^ ".inca")) in

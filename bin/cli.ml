@@ -172,6 +172,20 @@ let watchdog_conv : watchdog_spec Arg.conv =
   in
   Arg.conv (parse, print)
 
+(* An integer flag with a floor.  A cycle budget or a program count
+   below one, or a generator size below zero, would only make every run
+   stop at once or fail deep inside the library, so it is a usage error
+   (exit 124) like any malformed value. *)
+let int_at_least min : int Arg.conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= min -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "invalid value %S (expected an integer >= %d)" s min))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive_int = int_at_least 1
+
 type testbench = {
   stimulus : stimulus;
   max_cycles : int;
@@ -186,7 +200,7 @@ type testbench = {
 let max_cycles_arg ?(default = 1_000_000) () =
   Arg.(
     value
-    & opt int default
+    & opt positive_int default
     & info [ "max-cycles" ]
         ~env:(Cmd.Env.info "INCA_MAX_CYCLES")
         ~doc:"Cycle budget for every simulated run.")
@@ -243,7 +257,7 @@ let file_arg =
 let budget_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some positive_int) None
     & info [ "budget" ]
         ~doc:"Per-mutant cycle budget (default: 4x the unfaulted run, plus slack).")
 

@@ -453,13 +453,13 @@ let fuzz_cmd =
   let count_arg =
     Arg.(
       value
-      & opt int Torture.Fuzz.default_count
+      & opt Cli.positive_int Torture.Fuzz.default_count
       & info [ "count" ] ~doc:"Number of programs to generate and check.")
   in
   let fuel_arg =
     Arg.(
       value
-      & opt int Torture.Fuzz.default_fuel
+      & opt (Cli.int_at_least 0) Torture.Fuzz.default_fuel
       & info [ "fuel" ] ~doc:"Generator size budget per program.")
   in
   let corpus_arg =

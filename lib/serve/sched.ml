@@ -473,6 +473,8 @@ let escapes_of (r : Campaign.report) =
 
 let do_campaign ?progress ?default_jobs (a : Job.campaign_params) : outcome =
   check_window "campaign" a.a_watchdog;
+  Option.iter (at_least "campaign" "budget" 1) a.a_budget;
+  at_least "campaign" "max_cycles" 1 a.a_max_cycles;
   let workloads =
     campaign_workloads ~stimulus:a.a_stimulus ~max_cycles:a.a_max_cycles a.a_source
   in
@@ -517,6 +519,7 @@ let do_campaign ?progress ?default_jobs (a : Job.campaign_params) : outcome =
 (* --- mine ----------------------------------------------------------------- *)
 
 let do_mine ?progress ?default_jobs (m : Job.mine_params) : outcome =
+  Option.iter (at_least "mine" "budget" 1) m.m_budget;
   let file, src = load_source m.m_source in
   let name = Filename.remove_extension file in
   let prog = Front.Typecheck.parse_and_check ~file src in
@@ -586,6 +589,9 @@ let do_mine ?progress ?default_jobs (m : Job.mine_params) : outcome =
 
 let do_fuzz ?progress ?default_jobs (z : Job.fuzz_params) : outcome =
   check_window "fuzz" z.z_watchdog;
+  Option.iter (at_least "fuzz" "count" 1) z.z_count;
+  Option.iter (at_least "fuzz" "fuel" 0) z.z_fuel;
+  Option.iter (at_least "fuzz" "max_cycles" 1) z.z_max_cycles;
   let jobs = match z.z_jobs with Some _ as j -> j | None -> default_jobs in
   let r =
     Torture.Fuzz.run ?jobs ~seed:z.z_seed ?count:z.z_count ?fuel:z.z_fuel

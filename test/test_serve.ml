@@ -3,7 +3,9 @@
    diagnostic), scheduler-vs-library equivalence, and the daemon's
    survival contract over a real Unix socket (malformed requests,
    mid-job client disconnects, warm-cache resubmission), and usage
-   errors for out-of-range prove parameters on both paths. *)
+   errors for out-of-range numeric job fields (prove depth, induction
+   and conflict limit; watchdog, budget, max_cycles, fuzz count and
+   fuel) on both paths. *)
 
 module Job = Core.Job
 module Report = Core.Report
@@ -487,27 +489,44 @@ let check_prove_refused field (rep : Report.t) =
     | Some m -> contains ~sub:(Printf.sprintf "prove: %s must be at least" field) m
     | None -> false)
 
-(* A watchdog window below one cycle is refused the same way for every
-   job kind that takes one: (kind, window, the job's JSON fields). *)
-let bad_windows =
+(* Other out-of-range numeric job fields, refused the same way as on
+   the CLI: a watchdog window, a cycle budget, a max_cycles or a fuzz
+   count below one, or a fuzz fuel below zero.  (kind, field, least
+   allowed value, bad value, the job's other JSON fields); the sources
+   do not exist, so a job that is not refused fails differently. *)
+let bad_fields =
+  let check = {|"sources": [{"path": "nope.c"}]|}
+  and campaign = {|"source": {"path": "nope.c"}|}
+  and fuzz = {|"seed": 1, "count": 1|} in
   List.concat_map
     (fun w ->
       [
-        ("check", w, {|"sources": [{"path": "nope.c"}]|});
-        ("campaign", w, {|"source": {"path": "nope.c"}|});
-        ("fuzz", w, {|"seed": 1, "count": 1|});
+        ("check", "watchdog", 1, w, check);
+        ("campaign", "watchdog", 1, w, campaign);
+        ("fuzz", "watchdog", 1, w, fuzz);
       ])
     [ 0; -5 ]
+  @ [
+      ("campaign", "budget", 1, 0, campaign);
+      ("campaign", "budget", 1, -3, campaign);
+      ("campaign", "max_cycles", 1, 0, campaign);
+      ("mine", "budget", 1, 0, {|"source": {"path": "nope.c"}|});
+      ("fuzz", "count", 1, -1, {|"seed": 1|});
+      ("fuzz", "count", 1, 0, {|"seed": 1|});
+      ("fuzz", "fuel", 0, -1, fuzz);
+      ("fuzz", "max_cycles", 1, 0, fuzz);
+    ]
 
-let window_job_line kind w fields =
-  Printf.sprintf {|{"schema_version": %d, "job": {"kind": "%s", %s, "watchdog": %d}}|}
-    Report.schema_version kind fields w
+let field_job_line kind field v fields =
+  Printf.sprintf {|{"schema_version": %d, "job": {"kind": "%s", %s, "%s": %d}}|}
+    Report.schema_version kind fields field v
 
-let check_window_refused kind (rep : Report.t) =
-  Alcotest.(check int) (kind ^ " watchdog: usage exit 1") 1 rep.Report.exit_code;
-  Alcotest.(check bool) (kind ^ " watchdog: error names the field") true
+let check_field_refused kind field min (rep : Report.t) =
+  let what = Printf.sprintf "%s %s" kind field in
+  Alcotest.(check int) (what ^ ": usage exit 1") 1 rep.Report.exit_code;
+  Alcotest.(check bool) (what ^ ": error names the field") true
     (match rep.Report.error with
-    | Some m -> contains ~sub:(kind ^ ": watchdog must be at least 1") m
+    | Some m -> contains ~sub:(Printf.sprintf "%s: %s must be at least %d" kind field min) m
     | None -> false)
 
 let test_sched_prove_params_refused () =
@@ -517,12 +536,15 @@ let test_sched_prove_params_refused () =
       check_prove_refused field o.Serve.Sched.sc_report)
     bad_prove_params;
   List.iter
-    (fun (kind, w, fields) ->
-      match Result.bind (Json.parse (window_job_line kind w fields)) Serve.Proto.decode_request with
+    (fun (kind, field, min, v, fields) ->
+      match
+        Result.bind (Json.parse (field_job_line kind field v fields)) Serve.Proto.decode_request
+      with
       | Ok req ->
-          check_window_refused kind (Serve.Sched.run req.Serve.Proto.req_job).Serve.Sched.sc_report
+          check_field_refused kind field min
+            (Serve.Sched.run req.Serve.Proto.req_job).Serve.Sched.sc_report
       | Error e -> Alcotest.fail e)
-    bad_windows
+    bad_fields
 
 (* --- the daemon over a real socket ----------------------------------------- *)
 
@@ -665,15 +687,15 @@ let test_daemon_prove_params_refused () =
       | _ -> Alcotest.fail ("expected a report, got: " ^ line))
     bad_prove_params;
   List.iter
-    (fun (kind, w, fields) ->
+    (fun (kind, field, min, v, fields) ->
       let fd = raw_connect socket in
-      raw_send fd (window_job_line kind w fields);
+      raw_send fd (field_job_line kind field v fields);
       let line = raw_read_line fd in
       Unix.close fd;
       match Serve.Proto.decode_event line with
-      | Ok (_, Serve.Proto.Done { report; _ }) -> check_window_refused kind report
+      | Ok (_, Serve.Proto.Done { report; _ }) -> check_field_refused kind field min report
       | _ -> Alcotest.fail ("expected a report, got: " ^ line))
-    bad_windows;
+    bad_fields;
   Serve.Server.stop t
 
 let test_stale_socket_reclaimed () =

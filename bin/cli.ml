@@ -142,16 +142,22 @@ let stimulus_args =
   in
   Term.(const mk $ feeds_arg $ drains_arg $ params_arg)
 
-(* A watchdog window in cycles.  Below one cycle the watchdog would fire
-   on the first cycle and report every run as a hang, so it is a usage
-   error; [expected] completes the message. *)
-let parse_window ~expected s =
+(* An integer flag with a floor.  A watchdog window below one cycle
+   would fire on the first cycle and report every run as a hang; a cycle
+   budget or a program count below one, or a generator size below zero,
+   would stop every run at once or fail deep inside the library.  Each
+   is a usage error (exit 124) like any malformed value; [expected]
+   completes the message. *)
+let parse_at_least min ~expected s =
   match int_of_string_opt s with
-  | Some n when n >= 1 -> Ok n
-  | _ -> Error (`Msg (Printf.sprintf "bad watchdog %S (expected %s)" s expected))
+  | Some n when n >= min -> Ok n
+  | _ -> Error (`Msg (Printf.sprintf "invalid value %S (expected %s)" s expected))
 
-let window_conv : int Arg.conv =
-  Arg.conv (parse_window ~expected:"a positive cycle count", Format.pp_print_int)
+let int_at_least min : int Arg.conv =
+  Arg.conv
+    (parse_at_least min ~expected:(Printf.sprintf "an integer >= %d" min), Format.pp_print_int)
+
+let positive_int = int_at_least 1
 
 (* [--watchdog] accepts a cycle count or "auto", which resolves to the
    liveness analyzer's proved completion bound after the program is
@@ -164,27 +170,13 @@ let watchdog_conv : watchdog_spec Arg.conv =
     | s ->
         Result.map
           (fun n -> Cycles n)
-          (parse_window ~expected:"a positive cycle count or \"auto\"" s)
+          (parse_at_least 1 ~expected:"a positive cycle count or \"auto\"" s)
   in
   let print ppf = function
     | Auto -> Format.pp_print_string ppf "auto"
     | Cycles n -> Format.pp_print_int ppf n
   in
   Arg.conv (parse, print)
-
-(* An integer flag with a floor.  A cycle budget or a program count
-   below one, or a generator size below zero, would only make every run
-   stop at once or fail deep inside the library, so it is a usage error
-   (exit 124) like any malformed value. *)
-let int_at_least min : int Arg.conv =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= min -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "invalid value %S (expected an integer >= %d)" s min))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
-let positive_int = int_at_least 1
 
 type testbench = {
   stimulus : stimulus;
@@ -264,7 +256,7 @@ let budget_arg =
 let sweep_watchdog_arg =
   Arg.(
     value
-    & opt (some window_conv) None
+    & opt (some positive_int) None
     & info [ "watchdog" ]
         ~doc:"Live-lock watchdog window in cycles (default: budget / 20, floor 200).")
 
@@ -309,7 +301,7 @@ let code_filter_args =
 let check_watchdog_arg =
   Arg.(
     value
-    & opt (some window_conv) None
+    & opt (some positive_int) None
     & info [ "watchdog" ] ~docv:"N"
         ~doc:
           "Watchdog window to measure against the proved completion bound: warns \

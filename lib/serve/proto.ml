@@ -220,12 +220,12 @@ let describe () : Json.t =
                 ([ ("source", source_doc ^ " | null (default: bundled workloads)") ]
                 @ stimulus_doc
                 @ [
-                    ("budget", "int | null (default: 4x baseline + slack)");
+                    ("budget", "int >= 1 | null (default: 4x baseline + slack)");
                     ("watchdog", "int >= 1 | null (default: budget/20, floor 200)");
                     ("max_mutants", "int | null (default: unlimited)");
                     ("jobs", "int | null");
                     ("from_reset", "bool (default false)");
-                    ("max_cycles", "int (default 1000000)");
+                    ("max_cycles", "int >= 1 (default 1000000)");
                     ("prune_hangs", "bool (default true)");
                   ]) );
             ( "mine",
@@ -239,7 +239,7 @@ let describe () : Json.t =
                     ("top", "int (default 10)");
                     ("max_candidates", "int (default 12)");
                     ("max_mutants", "int | null");
-                    ("budget", "int | null");
+                    ("budget", "int >= 1 | null");
                     ("jobs", "int | null");
                     ("emit", "bool (default false): include instrumented source");
                   ]) );
@@ -247,9 +247,9 @@ let describe () : Json.t =
               fields
                 [
                   ("seed", "int (default 42)");
-                  ("count", "int | null (default: 200)");
-                  ("fuel", "int | null (default: 8)");
-                  ("max_cycles", "int | null");
+                  ("count", "int >= 1 | null (default: 200)");
+                  ("fuel", "int >= 0 | null (default: 8)");
+                  ("max_cycles", "int >= 1 | null");
                   ("watchdog", "int >= 1 | null");
                   ("bmc_depth", "int | null (default null: cross-check disabled)");
                   ("corpus_dir", "string | null (default null: no reproducers written)");

@@ -882,7 +882,8 @@ let test_verdict_pins () =
    head any slot (0..depth-1) and each committed count any fill level
    (0..depth).  These programs use stream depths 1, 3 and 5 and
    processes of 3, 5 and 6 states, so every such bound is checked where
-   the fewest bits that hold it also hold values past it.  Pinned: the
+   the fewest bits that hold it also hold values past it, and depths 2
+   and 4 and a 4-state process, where the bound needs the top bit.  Pinned: the
    exact set of start values each of these takes, and class, k and
    reach of each assertion (a k=2 proof after a counterexample to
    induction at k=1, and assertions bounded after counterexamples at
@@ -947,6 +948,21 @@ process hw pass(int32 n) {
 |},
       [ ("sink", 3); ("gen", 5); ("pass", 6) ],
       [ "#0 bounded 8; reachable at 2"; "#1 bounded 8; reachable at 4" ] );
+    (* powers of two: the halted sentinel and the full count need the
+       top bit *)
+    ( {|stream int32 src depth 2;
+stream int32 dst depth 4;
+
+process hw relay() {
+  while (1) {
+    int32 x;
+    x = stream_read(src);
+    stream_write(dst, x);
+  }
+}
+|},
+      [ ("relay", 4) ],
+      [] );
   ]
 
 (* The values in 0..bound+2 that [v] can take in the free start state,
@@ -1068,7 +1084,7 @@ let () =
       ( "pins",
         [
           Alcotest.test_case "verdicts at depth 8, induction 4" `Slow test_verdict_pins;
-          Alcotest.test_case "induction start state at non-power-of-two bounds" `Quick
+          Alcotest.test_case "induction start state at small bounds" `Quick
             test_induction_edge_bounds;
         ] );
     ]

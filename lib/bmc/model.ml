@@ -108,6 +108,11 @@ let free_of_ty g = function
 
 let iconst n = Blast.const (Int64.of_int n)
 
+(* Fewest bits that hold every value in 0..n. *)
+let bits_for n =
+  let rec go w = if n < 1 lsl w then w else go (w + 1) in
+  go 0
+
 (* x mod d for 0 <= x < 2d, by conditional subtraction. *)
 let wrap_mod g x d =
   let dv = iconst d in
@@ -154,12 +159,8 @@ let fifo_drain g f =
 (* Address decode on the low address bits (the physical array is a power
    of two and the address bus wraps, as in Sim.Bram). *)
 let bram_sel g (b : bram_m) (addr : Blast.vec) i =
-  let nb =
-    let rec bits n = if b.bm_phys <= 1 lsl n then n else bits (n + 1) in
-    bits 0
-  in
   let acc = ref A.tru in
-  for j = 0 to nb - 1 do
+  for j = 0 to bits_for (b.bm_phys - 1) - 1 do
     let want = (i lsr j) land 1 = 1 in
     acc := A.mk_and g !acc (if want then addr.(j) else A.neg addr.(j))
   done;
@@ -222,15 +223,6 @@ let rec sym_slots g (slots : Blast.vec array) (x : expr) : Blast.vec =
 let cond_holds g cond slots = Blast.to_bool g (sym_slots g slots cond)
 
 (* --- construction ----------------------------------------------------------- *)
-
-let next_pow2 n =
-  let rec go p = if p >= n then p else go (p * 2) in
-  go 1
-
-(* Fewest bits that hold every value in 0..n. *)
-let bits_for n =
-  let rec go w = if n < 1 lsl w then w else go (w + 1) in
-  go 0
 
 let mem_written (f : Fsmd.t) (m : Ir.mem) =
   List.exists
@@ -325,7 +317,7 @@ let create ?(free_start = false) (cfg : config) : t =
         let brams = Hashtbl.create 4 in
         List.iter
           (fun (m : Ir.mem) ->
-            let phys = next_pow2 (Stdlib.max m.Ir.length 1) in
+            let phys = 1 lsl bits_for (Stdlib.max m.Ir.length 1 - 1) in
             let init = match m.Ir.rom_init with Some l -> l | None -> [] in
             let concrete =
               Array.init phys (fun i ->

@@ -983,7 +983,8 @@ let test_induction_edge_bounds () =
   List.iter
     (fun (src, states, want) ->
       let prog = elab src in
-      let model = Model.create ~free_start:true (Verify.model_config (Verify.front_of prog)) in
+      let cfg = Verify.model_config (Verify.front_of prog) in
+      let model = Model.create ~free_start:true cfg in
       List.iter
         (fun (p : Model.proc_m) ->
           let f = p.Model.pm_fsmd in
@@ -1012,7 +1013,7 @@ let test_induction_edge_bounds () =
             (s.Ast.sname ^ " start count")
             (upto d, false)
             (start_values model fm.Model.ccnt ~bound:d))
-        (Verify.model_config (Verify.front_of prog)).Model.streams;
+        cfg.Model.streams;
       check (Alcotest.list tstr) "verdicts" want (pin_lines prog))
     edge_programs;
   let depths =

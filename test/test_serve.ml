@@ -495,22 +495,22 @@ let check_prove_refused field (rep : Report.t) =
    allowed value, bad value, the job's other JSON fields); the sources
    do not exist, so a job that is not refused fails differently. *)
 let bad_fields =
-  let check = {|"sources": [{"path": "nope.c"}]|}
-  and campaign = {|"source": {"path": "nope.c"}|}
+  let sources = {|"sources": [{"path": "nope.c"}]|}
+  and source = {|"source": {"path": "nope.c"}|}
   and fuzz = {|"seed": 1, "count": 1|} in
   List.concat_map
     (fun w ->
       [
-        ("check", "watchdog", 1, w, check);
-        ("campaign", "watchdog", 1, w, campaign);
+        ("check", "watchdog", 1, w, sources);
+        ("campaign", "watchdog", 1, w, source);
         ("fuzz", "watchdog", 1, w, fuzz);
       ])
     [ 0; -5 ]
   @ [
-      ("campaign", "budget", 1, 0, campaign);
-      ("campaign", "budget", 1, -3, campaign);
-      ("campaign", "max_cycles", 1, 0, campaign);
-      ("mine", "budget", 1, 0, {|"source": {"path": "nope.c"}|});
+      ("campaign", "budget", 1, 0, source);
+      ("campaign", "budget", 1, -3, source);
+      ("campaign", "max_cycles", 1, 0, source);
+      ("mine", "budget", 1, 0, source);
       ("fuzz", "count", 1, -1, {|"seed": 1|});
       ("fuzz", "count", 1, 0, {|"seed": 1|});
       ("fuzz", "fuel", 0, -1, fuzz);

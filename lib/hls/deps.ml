@@ -66,7 +66,7 @@ let mem d m =
 (* Registers an instruction depends on: its guard, then its uses. *)
 let iter_deps f (g : Ir.ginst) =
   (match g.Ir.guard with Some (r, _) -> f r | None -> ());
-  List.iter f (Ir.uses_of g.Ir.i)
+  Ir.iter_uses f g.Ir.i
 
 let avail d r =
   match Regs.find_opt d.regs r with Some x -> (x.at, x.ns) | None -> (0, 0.0)

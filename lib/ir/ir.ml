@@ -109,20 +109,25 @@ let dst_of = function
       Some dst
   | Store _ | Swrite _ | Tap _ -> None
 
+let use_of f = function Reg r -> f r | Imm _ -> ()
+
+(** [f r] for every register read by an instruction, in operand order
+    (guard excluded). *)
+let iter_uses f = function
+  | Bin { a; b; _ } -> use_of f a; use_of f b
+  | Un { a; _ } -> use_of f a
+  | Copy { src; _ } | Castop { src; _ } -> use_of f src
+  | Load { addr; _ } -> use_of f addr
+  | Store { addr; v; _ } -> use_of f addr; use_of f v
+  | Sread _ -> ()
+  | Swrite { v; _ } -> use_of f v
+  | Extcall { args; _ } | Tap { args; _ } -> List.iter (use_of f) args
+
 (** Registers read by an instruction (guard excluded). *)
 let uses_of inst =
-  let of_op = function Reg r -> [ r ] | Imm _ -> [] in
-  match inst with
-  | Bin { a; b; _ } -> of_op a @ of_op b
-  | Un { a; _ } -> of_op a
-  | Copy { src; _ } -> of_op src
-  | Castop { src; _ } -> of_op src
-  | Load { addr; _ } -> of_op addr
-  | Store { addr; v; _ } -> of_op addr @ of_op v
-  | Sread _ -> []
-  | Swrite { v; _ } -> of_op v
-  | Extcall { args; _ } -> List.concat_map of_op args
-  | Tap { args; _ } -> List.concat_map of_op args
+  let acc = ref [] in
+  iter_uses (fun r -> acc := r :: !acc) inst;
+  List.rev !acc
 
 let uses_of_g g =
   let guard_uses = match g.guard with Some (r, _) -> [ r ] | None -> [] in

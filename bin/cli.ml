@@ -57,9 +57,23 @@ let prune_arg =
            assertion before instrumentation, so no checker hardware is synthesized for \
            it.  A statically violated assertion aborts the compile with a witness.")
 
+(* A source the front end rejects is reported as its INCA-P001/P002
+   diagnostic with exit 1, as [inca check] reports it, never as an
+   uncaught exception. *)
+let parse_or_exit ~file src =
+  let fail code loc m =
+    let d = Analysis.Diag.to_string (Analysis.Diag.error ~code loc m) in
+    prerr_endline (if Front.Loc.equal loc Front.Loc.none then file ^ ": " ^ d else d);
+    exit 1
+  in
+  match Front.Typecheck.parse_and_check ~file src with
+  | prog -> prog
+  | exception Front.Typecheck.Error (m, loc) -> fail "INCA-P002" loc m
+  | exception (Front.Parser.Error (m, loc) | Front.Lexer.Error (m, loc)) -> fail "INCA-P001" loc m
+
 let load ?(prune_proved = false) sel path =
   let src = Serve.Sched.read_file path in
-  let prog = Front.Typecheck.parse_and_check ~file:(Filename.basename path) src in
+  let prog = parse_or_exit ~file:(Filename.basename path) src in
   let _, strategy = apply_sel sel in
   Core.Driver.compile ~strategy ~prune_proved prog
 

@@ -50,6 +50,12 @@ let common_type loc a b =
   | Tbool, (Tint _ as t) | (Tint _ as t), Tbool -> t
   | _ -> error loc "cannot combine %s and %s" (show_ty a) (show_ty b)
 
+(* Every FIFO and memory is allocated at its declared size by the
+   interpreter, the simulator and the area model; LANGUAGE.md states
+   these bounds. *)
+let max_stream_depth = 65536
+let max_array_length = 65536
+
 let is_scalar = function Tint _ | Tbool -> true | Tarray _ | Tvoid -> false
 
 (* Insert a cast only when needed. *)
@@ -169,6 +175,8 @@ and elab_stmt env st =
       | Tvoid -> error loc "cannot declare void variable %s" name
       | Tarray ((Tarray _ | Tvoid | Tbool), _) -> error loc "unsupported array element type"
       | Tarray (_, n) when n <= 0 -> error loc "array %s must have positive size" name
+      | Tarray (_, n) when n > max_array_length ->
+          error loc "array %s size %d exceeds the maximum %d" name n max_array_length
       | _ -> ());
       let init =
         match init with
@@ -239,6 +247,9 @@ and elab_stmt env st =
       if not (is_scalar elem) || elem = Tvoid then
         error loc "const array %s must have scalar elements" name;
       if values = [] then error loc "const array %s must not be empty" name;
+      if List.compare_length_with values max_array_length > 0 then
+        error loc "const array %s size %d exceeds the maximum %d" name (List.length values)
+          max_array_length;
       let env = { env with vars = (name, Tarray (elem, List.length values)) :: env.vars } in
       (env, st)
 
@@ -272,7 +283,10 @@ let elaborate (prog : program) : program =
     (fun s ->
       if not (is_scalar s.elem) then
         error Loc.none "stream %s element type must be scalar" s.sname;
-      if s.depth <= 0 then error Loc.none "stream %s depth must be positive" s.sname)
+      if s.depth <= 0 then error Loc.none "stream %s depth must be positive" s.sname;
+      if s.depth > max_stream_depth then
+        error Loc.none "stream %s depth %d exceeds the maximum %d" s.sname s.depth
+          max_stream_depth)
     prog.streams;
   let procs =
     List.map (elab_proc ~streams:prog.streams ~externs:prog.externs) prog.procs

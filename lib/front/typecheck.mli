@@ -16,6 +16,11 @@ val common_type : Loc.t -> Ast.ty -> Ast.ty -> Ast.ty
 
 val is_scalar : Ast.ty -> bool
 
+(** The largest stream depth and array length a program may declare
+    (65536 each); larger ones are type errors. *)
+val max_stream_depth : int
+val max_array_length : int
+
 (** The type elaboration assigns a bare integer literal: [int32] when
     the value fits, [int64] otherwise.  Exposed for the pretty-printer,
     which must annotate literals carrying any other type so that

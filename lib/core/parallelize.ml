@@ -22,12 +22,12 @@ type checker_spec = {
    leaf is pure arithmetic the checker replicates on its own silicon.
    Structurally identical leaves share one slot. *)
 let extract_slots (cond : expr) : expr * expr list =
-  let table : (string * expr) list ref = ref [] in
+  let table : ((string * ty) * expr) list ref = ref [] in
   let originals : expr list ref = ref [] in
   let rec go (x : expr) : expr =
     match x.e with
     | Var _ | Index _ | Call _ ->
-        let key = Front.Pretty.expr_to_string x ^ ":" ^ show_ty x.ety in
+        let key = (Front.Pretty.expr_to_string x, x.ety) in
         (match List.assoc_opt key !table with
         | Some slot_var -> slot_var
         | None ->

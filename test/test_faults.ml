@@ -612,6 +612,240 @@ let test_notify_shared_channel_words () =
   check tbool "both assertions in the shared loop" true
     (has_sub ~sub:"`x > 0'" src && has_sub ~sub:"`y < 100'" src)
 
+(* --- fault pins ----------------------------------------------------------------- *)
+
+(* One digest per (program, strategy) over everything that decides what
+   a fault site is: the {!Fault.sites} list, the IR after {!Fault.apply}
+   of every site and of each kind's [All] selector, the padded program
+   and its site records from {!Fault.instrument_all}, and the static
+   pre-filter's verdicts.  A refactor of the site walkers must leave
+   every digest unchanged. *)
+
+module Ir = Mir.Ir
+
+let examples_dir =
+  List.find
+    (fun d -> Sys.file_exists (Filename.concat d "fir.c"))
+    [ "../examples"; "examples"; "../../examples" ]
+
+let read_example f =
+  let ic = open_in_bin (Filename.concat examples_dir f) in
+  let src = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  src
+
+(* [Ir.proc_to_string] omits instruction types and register origins:
+   append both so retyped or renamed pads move the digest too. *)
+let proc_text (p : Ir.proc_ir) =
+  let b = Buffer.create 1024 in
+  Buffer.add_string b (Ir.proc_to_string p);
+  List.iter
+    (fun (r, (info : Ir.reg_info)) ->
+      Printf.bprintf b "r%d:%s:%s " r (Pretty.string_of_ty info.Ir.rty)
+        (Option.value ~default:"-" info.Ir.origin))
+    p.Ir.regs;
+  Ir.iter_segments
+    (List.iter (fun (g : Ir.ginst) ->
+         match g.Ir.i with
+         | Ir.Bin { ty; _ } | Ir.Un { ty; _ } | Ir.Copy { ty; _ } ->
+             Printf.bprintf b "%s " (Pretty.string_of_ty ty)
+         | _ -> Buffer.add_string b ". "))
+    p.Ir.body;
+  Buffer.contents b
+
+let all_selectors (ir : Ir.program_ir) =
+  List.concat_map
+    (fun (p : Ir.proc_ir) ->
+      if p.Ir.kind <> Ast.Hardware then []
+      else
+        let fproc = p.Ir.name in
+        [ Fault.Narrow_compare { fproc; select = Fault.All; mask_bits = 5 };
+          Fault.Read_for_write { fproc; select = Fault.All } ]
+        @ List.concat_map
+            (fun (d : Ast.stream_decl) ->
+              let width =
+                match d.Ast.elem with
+                | Ast.Tint (_, w) -> Ast.bits_of_width w
+                | Ast.Tbool -> 1
+                | _ -> 32
+              in
+              let stream = d.Ast.sname in
+              [ Fault.Stuck_stream_bit
+                  { fproc; stream; select = Fault.All; bit = max 1 (width / 2) - 1;
+                    stuck_to = true };
+                Fault.Stuck_stream_bit
+                  { fproc; stream; select = Fault.All; bit = 0; stuck_to = false };
+                Fault.Drop_stream_write { fproc; stream; select = Fault.All } ])
+            ir.Ir.streams
+        @ [ Fault.Loop_bound_off_by_one { fproc; select = Fault.All; delta = 1L };
+            Fault.Loop_bound_off_by_one { fproc; select = Fault.All; delta = -1L } ])
+    ir.Ir.procs
+
+(* Returns the site count and the digest text of one lowered program. *)
+let fault_digest (ir : Ir.program_ir) =
+  let b = Buffer.create 65536 in
+  let line s = Buffer.add_string b s; Buffer.add_char b '\n' in
+  let base = List.map (fun p -> (p, proc_text p)) ir.Ir.procs in
+  let program (prog : Ir.program_ir) =
+    List.iter
+      (fun (p : Ir.proc_ir) ->
+        line
+          (match List.find_opt (fun (q, _) -> q == p) base with
+          | Some (_, text) -> text
+          | None -> proc_text p))
+      prog.Ir.procs
+  in
+  let sites = Fault.sites ir in
+  List.iter (fun f -> line (Fault.describe f)) sites;
+  List.iter
+    (fun f ->
+      line ("apply " ^ Fault.describe f);
+      program (Fault.apply f ir))
+    (sites @ all_selectors ir);
+  let inst = Fault.instrument_all ir in
+  program inst.Fault.ip_prog;
+  List.iter
+    (fun (s : Fault.site) ->
+      line
+        (Printf.sprintf "%d %s %s [%s] %b" s.Fault.s_index (Fault.describe s.Fault.s_fault)
+           s.Fault.s_proc
+           (String.concat ";"
+              (List.map (fun (n, v) -> Printf.sprintf "%s=%Ld" n v) s.Fault.s_arm))
+           s.Fault.s_padded))
+    inst.Fault.ip_sites;
+  line
+    (String.concat " "
+       (List.map Faults.Prefilter.verdict_name (Faults.Prefilter.verdicts ir sites)));
+  (List.length sites, Digest.string (Buffer.contents b))
+
+let pin_of digests =
+  let n = List.fold_left (fun acc (k, _) -> acc + k) 0 digests in
+  Printf.sprintf "%d sites %s" n
+    (Digest.to_hex (Digest.string (String.concat "" (List.map snd digests))))
+
+(* Every group the pins cover, in a fixed order: examples × all
+   strategies; the bundled campaign workloads × default strategies;
+   torture programs 0-199 of run seed 42 in blocks of 50 per default
+   strategy. *)
+let fault_pin_groups () =
+  let ir ~strategy prog = (Driver.front ~strategy prog).Driver.f_ir in
+  let examples =
+    Sys.readdir examples_dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".c")
+    |> List.sort compare
+    |> List.concat_map (fun f ->
+           let prog = Typecheck.parse_and_check ~file:f (read_example f) in
+           List.map
+             (fun (sname, strategy) ->
+               (f ^ "/" ^ sname, fun () -> [ fault_digest (ir ~strategy prog) ]))
+             Driver.all_strategies)
+  in
+  let bundled =
+    List.concat_map
+      (fun (w : Campaign.workload) ->
+        List.map
+          (fun (sname, strategy) ->
+            ( "bundled " ^ w.Campaign.wname ^ "/" ^ sname,
+              fun () -> [ fault_digest (ir ~strategy w.Campaign.program) ] ))
+          Campaign.default_strategies)
+      (Campaign.bundled ())
+  in
+  let torture =
+    List.concat_map
+      (fun (sname, strategy) ->
+        List.map
+          (fun block ->
+            ( Printf.sprintf "torture 42 #%d-%d/%s" (50 * block) ((50 * block) + 49) sname,
+              fun () ->
+                List.map
+                  (fun index ->
+                    let seed = Torture.Gen.program_seed ~run_seed:42L ~index in
+                    let prog = Torture.Gen.generate ~seed ~fuel:Torture.Fuzz.default_fuel in
+                    fault_digest (ir ~strategy prog))
+                  (List.init 50 (fun i -> (50 * block) + i)) ))
+          [ 0; 1; 2; 3 ])
+      Campaign.default_strategies
+  in
+  examples @ bundled @ torture
+
+(* Re-pin only for an intended change of the fault sites or their
+   rewrites. *)
+let fault_pins =
+  [
+    ("campaign.c/baseline", "32 sites 0d30a3bf0fc6afba027b05607459ca2e");
+    ("campaign.c/unoptimized", "48 sites eda91c8423399d66457db7b9d14c5a75");
+    ("campaign.c/parallelized", "32 sites 8e5bd3db6d7caa7d077a7648c94cfdab");
+    ("campaign.c/optimized", "32 sites 2cde8976150bd2c1d0257e171e52a975");
+    ("campaign.c/carte", "32 sites b1ae7b4c7335d36753fe17c4a88ebb99");
+    ("dct.c/baseline", "12 sites 19ef2c294776ac7eb186ddc8ef9a3e76");
+    ("dct.c/unoptimized", "21 sites 1f055f4622f3d86676313a84128b8ee1");
+    ("dct.c/parallelized", "12 sites 108a1441bd36fc34811be719c670276a");
+    ("dct.c/optimized", "12 sites e1844830721e770654bd8f343f16c2f4");
+    ("dct.c/carte", "12 sites b77f58a0a3c8ba0f278baa7297475c47");
+    ("deadlock.c/baseline", "10 sites 330bd6ab7938eab09e353b8b59da85cb");
+    ("deadlock.c/unoptimized", "10 sites 330bd6ab7938eab09e353b8b59da85cb");
+    ("deadlock.c/parallelized", "10 sites 330bd6ab7938eab09e353b8b59da85cb");
+    ("deadlock.c/optimized", "10 sites 330bd6ab7938eab09e353b8b59da85cb");
+    ("deadlock.c/carte", "10 sites 330bd6ab7938eab09e353b8b59da85cb");
+    ("fir.c/baseline", "5 sites 4ee96e5573b4c80b7b852989c944f6a6");
+    ("fir.c/unoptimized", "11 sites 86e9c31e164075261ebae500752352f6");
+    ("fir.c/parallelized", "5 sites 7f52cfe3edb782cd381d45dcf9f1026f");
+    ("fir.c/optimized", "5 sites 93c441ead5945dadfb9d15c0620bcf39");
+    ("fir.c/carte", "5 sites 300dffea83afd419a1e50abdb8d61036");
+    ("mine_demo.c/baseline", "5 sites edf3a8f9d710ef5bb96ba2d4f2878d7c");
+    ("mine_demo.c/unoptimized", "8 sites 4f24383280609a796a03f560129b15b3");
+    ("mine_demo.c/parallelized", "5 sites 2517850669e7c2ab13a0394f3e6c3ca1");
+    ("mine_demo.c/optimized", "5 sites c0cdb663e7aeeaa4bbe2f3fb5209cce4");
+    ("mine_demo.c/carte", "5 sites e6c33b3eb331600a73a7124ebb01aa43");
+    ("prove_demo.c/baseline", "5 sites 8fb8fa5ecebb14096e0160f129028b03");
+    ("prove_demo.c/unoptimized", "11 sites 70dddd6112ad54526af91893ee881957");
+    ("prove_demo.c/parallelized", "5 sites 66327268eb3ca5f8fc03bed25bad11a1");
+    ("prove_demo.c/optimized", "5 sites e3f4149b65e98655d61dede1e0e84abe");
+    ("prove_demo.c/carte", "5 sites a23d8059bfafb4ffd0eca66d8b12b6c4");
+    ("bundled fir/baseline", "5 sites 4ee96e5573b4c80b7b852989c944f6a6");
+    ("bundled fir/unoptimized", "11 sites 86e9c31e164075261ebae500752352f6");
+    ("bundled fir/parallelized", "5 sites 7f52cfe3edb782cd381d45dcf9f1026f");
+    ("bundled fir/optimized", "5 sites 93c441ead5945dadfb9d15c0620bcf39");
+    ("bundled dct/baseline", "12 sites 19ef2c294776ac7eb186ddc8ef9a3e76");
+    ("bundled dct/unoptimized", "21 sites 1f055f4622f3d86676313a84128b8ee1");
+    ("bundled dct/parallelized", "12 sites 108a1441bd36fc34811be719c670276a");
+    ("bundled dct/optimized", "12 sites e1844830721e770654bd8f343f16c2f4");
+    ("bundled des3/baseline", "11 sites ede83e67e659d80430d979c7d80935d5");
+    ("bundled des3/unoptimized", "17 sites a57a4ed1e26402384e6dd05bcedb55b5");
+    ("bundled des3/parallelized", "11 sites 4788a77b17039c50ea5b36c1530d2265");
+    ("bundled des3/optimized", "11 sites 80a2dfe384bceb521ff206c530440f80");
+    ("bundled edge/baseline", "11 sites bdaacb696f790bc0a6dbbecd7f758905");
+    ("bundled edge/unoptimized", "17 sites 5f49e5aa21d13cc6d3efdd53edf95c71");
+    ("bundled edge/parallelized", "11 sites 6e7d5af5dcff78bc546fc7a6890d977f");
+    ("bundled edge/optimized", "11 sites ca26588c2beea5a94678b00f79e8e82f");
+    ("bundled pulse/baseline", "28 sites 680acc7102aea3dd1e433e4fceb5a4e1");
+    ("bundled pulse/unoptimized", "37 sites f30d47796a66c4c69eaaf47f5d8c7db1");
+    ("bundled pulse/parallelized", "28 sites f8ce58bd6eeb639c709f5e6e13abb945");
+    ("bundled pulse/optimized", "28 sites bb5f7d37da73ef71eb9751c1771d6174");
+    ("torture 42 #0-49/baseline", "582 sites 734a422c71384a7f18453c0261f7cd82");
+    ("torture 42 #50-99/baseline", "660 sites 22db5e510ef3c8f51142e7aceafa4b78");
+    ("torture 42 #100-149/baseline", "653 sites 4c732aebbee0b2715a0f608cb375f0bb");
+    ("torture 42 #150-199/baseline", "588 sites ae21dd89c4f7620dcfb28dd412ce7f80");
+    ("torture 42 #0-49/unoptimized", "840 sites e8f9254cb40af35861ca7c33d0fbd48b");
+    ("torture 42 #50-99/unoptimized", "927 sites a96f4f5e261f687fedbfc0042ba19aec");
+    ("torture 42 #100-149/unoptimized", "917 sites 46b5246d2419b0dd1ca6c0d67a19d3a9");
+    ("torture 42 #150-199/unoptimized", "805 sites 2f82df2b9983d776c5e5390078f69579");
+    ("torture 42 #0-49/parallelized", "582 sites 98c6b3aafb44cfe98c877171e59fe0f6");
+    ("torture 42 #50-99/parallelized", "660 sites 83941b4c7fcff798e35e2ad1e53f83b2");
+    ("torture 42 #100-149/parallelized", "653 sites e6497d6b5eee0f547ea84494aa3d58a9");
+    ("torture 42 #150-199/parallelized", "588 sites faf6137e7e8f882093e1a2d8950c46a3");
+    ("torture 42 #0-49/optimized", "582 sites 5a7c33d394f0a4b48b6f9d4aab9df6d1");
+    ("torture 42 #50-99/optimized", "660 sites 5b53550810117e8be17b222c6e2efacb");
+    ("torture 42 #100-149/optimized", "653 sites e2a424b9a38d0c4784cc0f1a00678486");
+    ("torture 42 #150-199/optimized", "588 sites 784b35c154c469908da3f427ce95d17f");
+  ]
+
+let test_fault_pins () =
+  let got = List.map (fun (name, digests) -> (name, pin_of (digests ()))) (fault_pin_groups ()) in
+  if got <> fault_pins then
+    List.iter (fun (name, pin) -> Printf.printf "    (%S, %S);\n" name pin) got;
+  check (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string)) "fault pins" fault_pins got
+
 let () =
   Alcotest.run "faults"
     [
@@ -671,4 +905,5 @@ let () =
           Alcotest.test_case "shared channel carries all" `Quick
             test_notify_shared_channel_words;
         ] );
+      ("pins", [ Alcotest.test_case "fault digests" `Quick test_fault_pins ]);
     ]

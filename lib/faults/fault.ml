@@ -7,11 +7,11 @@
     scenario: assertions pass in software simulation and fail (or expose
     a hang) only in circuit.
 
-    - {!narrow_compare} reproduces the erroneous narrow comparison of
+    - [Narrow_compare] reproduces the erroneous narrow comparison of
       Figure 3: Impulse-C compiled a 64-bit comparison of two counters
       as a 5-bit comparison, turning [4294967286 > 4294967296] (false)
       into [22 > 0] (true).
-    - {!read_for_write} reproduces the Triple-DES hang: a memory write
+    - [Read_for_write] reproduces the Triple-DES hang: a memory write
       is translated as a read, so a flag never lands in block RAM and a
       dependent loop spins forever in hardware. *)
 
@@ -56,337 +56,220 @@ let describe = function
         (match select with All -> "" | Nth k -> Printf.sprintf "#%d" k)
         delta
 
-(* Rewrite instruction streams with a stateful site counter and a fresh
-   register allocator. *)
-type rewriter = {
-  mutable counter : int;
-  mutable next_reg : int;
-  mutable new_regs : (Ir.reg * Ir.reg_info) list;
-  select : selector;
-}
+(* --- Fault sites --------------------------------------------------------------- *)
 
-let selected rw =
-  let n = rw.counter in
-  rw.counter <- n + 1;
-  match rw.select with All -> true | Nth k -> n = k
+(* Every notion of "the k-th site of a kind" goes through {!walk}: the
+   site list, the legacy rewrites, the padded design and the static
+   pre-filter's observation table all number sites with it. *)
 
-let fresh rw rty =
-  let r = rw.next_reg in
-  rw.next_reg <- r + 1;
-  rw.new_regs <- (r, { Ir.rty; origin = None }) :: rw.new_regs;
-  r
+type pass = Compares | Stores | Writes of string | Loops
 
-let rec map_segments f (body : Ir.body) : Ir.body =
-  List.map
-    (function
-      | Ir.Straight insts -> Ir.Straight (f insts)
-      | Ir.If_else r ->
-          Ir.If_else
-            {
-              r with
-              cond_insts = f r.cond_insts;
-              then_ = map_segments f r.then_;
-              else_ = map_segments f r.else_;
-            }
-      | Ir.Loop r ->
-          Ir.Loop
-            {
-              r with
-              cond_insts = f r.cond_insts;
-              body = map_segments f r.body;
-              step_insts = f r.step_insts;
-            })
-    body
+let passes (prog : Ir.program_ir) =
+  (Compares :: Stores :: List.map (fun (d : stream_decl) -> Writes d.sname) prog.Ir.streams)
+  @ [ Loops ]
 
-let apply_to_proc (p : Ir.proc_ir) rewrite : Ir.proc_ir =
-  let next_reg = List.fold_left (fun acc (r, _) -> Stdlib.max acc (r + 1)) 0 p.Ir.regs in
-  let rw = { counter = 0; next_reg; new_regs = []; select = All } in
-  let rw, f = rewrite rw in
-  let body = map_segments f p.Ir.body in
-  { p with Ir.body; regs = p.Ir.regs @ List.rev rw.new_regs }
-
-let is_wide_compare (i : Ir.inst) =
-  match i with
-  | Ir.Bin { op = (Lt | Le | Gt | Ge); ty = Tint (_, W64); _ } -> true
-  | _ -> false
-
-(* 4294967286 & 31 = 22 and 4294967296 & 31 = 0: the Figure 3 numbers. *)
-let narrow_compare_proc ~select ~mask_bits (p : Ir.proc_ir) : Ir.proc_ir =
-  apply_to_proc p (fun rw ->
-      let rw = { rw with select } in
-      let mask = Int64.sub (Int64.shift_left 1L mask_bits) 1L in
-      let narrow_ty = Tint (Unsigned, W64) in
-      let f insts =
-        List.concat_map
-          (fun (g : Ir.ginst) ->
-            match g.Ir.i with
-            | Ir.Bin { dst; op; a; b; ty = _ } when is_wide_compare g.Ir.i && selected rw ->
-                let ta = fresh rw narrow_ty and tb = fresh rw narrow_ty in
-                [
-                  { g with Ir.i = Ir.Bin { dst = ta; op = Band; a; b = Ir.Imm mask; ty = narrow_ty } };
-                  { g with Ir.i = Ir.Bin { dst = tb; op = Band; a = b; b = Ir.Imm mask; ty = narrow_ty } };
-                  { g with Ir.i = Ir.Bin { dst; op; a = Ir.Reg ta; b = Ir.Reg tb; ty = narrow_ty } };
-                ]
-            | _ -> [ g ])
-          insts
-      in
-      (rw, f))
+let target = function
+  | Narrow_compare { fproc; select; _ } -> (fproc, Compares, select)
+  | Read_for_write { fproc; select } -> (fproc, Stores, select)
+  | Stuck_stream_bit { fproc; stream; select; _ } | Drop_stream_write { fproc; stream; select } ->
+      (fproc, Writes stream, select)
+  | Loop_bound_off_by_one { fproc; select; _ } -> (fproc, Loops, select)
 
 (* Stores into replica memories (Section 3.2 mirrors) are assertion
-   plumbing added by the optimizer, not application stores: skip them
-   without counting so [Nth k] names the same application store under
-   every synthesis strategy. *)
-let is_app_store p mem =
-  match Ir.find_mem p mem with
-  | Some m -> m.Ir.mirror_of = None
-  | None -> true
+   plumbing added by the optimizer, not application stores: they are no
+   site, so [Nth k] names the same application store under every
+   synthesis strategy. *)
+let is_site pass (p : Ir.proc_ir) (g : Ir.ginst) =
+  match (pass, g.Ir.i) with
+  | Compares, Ir.Bin { op = Lt | Le | Gt | Ge; ty = Tint (_, W64); _ } -> true
+  | Stores, Ir.Store { mem; _ } -> (
+      match Ir.find_mem p mem with Some m -> m.Ir.mirror_of = None | None -> true)
+  | Writes s, Ir.Swrite { stream; _ } -> stream = s
+  | _ -> false
 
-let read_for_write_proc ~select (p : Ir.proc_ir) : Ir.proc_ir =
-  apply_to_proc p (fun rw ->
-      let rw = { rw with select } in
-      let f insts =
-        List.map
-          (fun (g : Ir.ginst) ->
-            match g.Ir.i with
-            | Ir.Store { mem; addr; v = _ } when is_app_store p mem && selected rw ->
-                let dst =
-                  let elem =
-                    match Ir.find_mem p mem with Some m -> m.Ir.elem | None -> int32_t
-                  in
-                  fresh rw elem
-                in
-                { g with Ir.i = Ir.Load { dst; mem; addr } }
-            | _ -> g)
-          insts
-      in
-      (rw, f))
-
-(* A stream-write datapath bit wired to a constant: the written value
-   passes through an OR (stuck at 1) or AND (stuck at 0) with a one-hot
-   mask — the classic routing/synthesis fault a software model of the
-   same C never exhibits. *)
-let stuck_stream_bit_proc ~stream ~select ~bit ~stuck_to ~elem (p : Ir.proc_ir) :
-    Ir.proc_ir =
-  apply_to_proc p (fun rw ->
-      let rw = { rw with select } in
-      let one_hot = Int64.shift_left 1L bit in
-      let f insts =
-        List.concat_map
-          (fun (g : Ir.ginst) ->
-            match g.Ir.i with
-            | Ir.Swrite { stream = s; v } when s = stream && selected rw ->
-                let tv = fresh rw elem in
-                let op, mask =
-                  if stuck_to then (Bor, one_hot) else (Band, Int64.lognot one_hot)
-                in
-                [
-                  { g with Ir.i = Ir.Bin { dst = tv; op; a = v; b = Ir.Imm mask; ty = elem } };
-                  { g with Ir.i = Ir.Swrite { stream = s; v = Ir.Reg tv } };
-                ]
-            | _ -> [ g ])
-          insts
-      in
-      (rw, f))
-
-(* A dropped stream write: the FIFO write-enable never asserts (the
-   handshake still advances), modelled by guarding the push on a fresh
-   register that is never written and therefore stays 0. *)
-let drop_stream_write_proc ~stream ~select (p : Ir.proc_ir) : Ir.proc_ir =
-  apply_to_proc p (fun rw ->
-      let rw = { rw with select } in
-      let f insts =
-        List.map
-          (fun (g : Ir.ginst) ->
-            match g.Ir.i with
-            | Ir.Swrite { stream = s; v = _ } when s = stream && selected rw ->
-                let never = fresh rw Tbool in
-                { g with Ir.guard = Some (never, true) }
-            | _ -> g)
-          insts
-      in
-      (rw, f))
-
-(* Pre-order traversal over loop nodes, rewriting each loop's condition
-   instructions; shared counting order with {!sites} so [Nth k] names
-   the same loop in both. *)
-let rec map_loop_conds f (body : Ir.body) : Ir.body =
-  List.map
-    (function
-      | Ir.Straight _ as it -> it
-      | Ir.If_else r ->
-          Ir.If_else
-            { r with then_ = map_loop_conds f r.then_; else_ = map_loop_conds f r.else_ }
-      | Ir.Loop r ->
-          let cond_insts = f r.cond r.cond_insts in
-          Ir.Loop { r with cond_insts; body = map_loop_conds f r.body })
-    body
-
-(* A mistranslated loop bound: the trip-count comparison sees a bound
-   off by [delta] (one extra or one missing iteration in hardware). *)
-let loop_bound_off_by_one_proc ~select ~delta (p : Ir.proc_ir) : Ir.proc_ir =
-  let next_reg = List.fold_left (fun acc (r, _) -> Stdlib.max acc (r + 1)) 0 p.Ir.regs in
-  let rw = { counter = 0; next_reg; new_regs = []; select } in
-  let f cond cond_insts =
-    if not (selected rw) then cond_insts
-    else
-      let rewritten = ref false in
-      List.concat_map
-        (fun (g : Ir.ginst) ->
-          match g.Ir.i with
-          | Ir.Bin { dst; op = (Lt | Le | Gt | Ge) as op; a; b; ty }
-            when (not !rewritten) && dst = cond ->
-              rewritten := true;
-              let pre, b' =
-                match b with
-                | Ir.Imm n -> ([], Ir.Imm (Int64.add n delta))
-                | Ir.Reg r ->
-                    let tb = fresh rw ty in
-                    ( [ { g with
-                          Ir.i = Ir.Bin { dst = tb; op = Add; a = Ir.Reg r; b = Ir.Imm delta; ty } } ],
-                      Ir.Reg tb )
-              in
-              pre @ [ { g with Ir.i = Ir.Bin { dst; op; a; b = b'; ty } } ]
-          | _ -> [ g ])
-        cond_insts
-  in
-  let body = map_loop_conds f p.Ir.body in
-  { p with Ir.body; regs = p.Ir.regs @ List.rev rw.new_regs }
-
-(** Apply one fault to a whole program IR. *)
-let apply (fault : t) (prog : Ir.program_ir) : Ir.program_ir =
-  let on_proc name f =
-    {
-      prog with
-      Ir.procs =
-        List.map (fun (p : Ir.proc_ir) -> if p.Ir.name = name then f p else p) prog.Ir.procs;
-    }
-  in
-  match fault with
-  | Narrow_compare { fproc; select; mask_bits } ->
-      on_proc fproc (narrow_compare_proc ~select ~mask_bits)
-  | Read_for_write { fproc; select } -> on_proc fproc (read_for_write_proc ~select)
-  | Stuck_stream_bit { fproc; stream; select; bit; stuck_to } ->
-      let elem =
-        match List.find_opt (fun (d : stream_decl) -> d.sname = stream) prog.Ir.streams with
-        | Some d -> d.elem
-        | None -> int32_t
-      in
-      on_proc fproc (stuck_stream_bit_proc ~stream ~select ~bit ~stuck_to ~elem)
-  | Drop_stream_write { fproc; stream; select } ->
-      on_proc fproc (drop_stream_write_proc ~stream ~select)
-  | Loop_bound_off_by_one { fproc; select; delta } ->
-      on_proc fproc (loop_bound_off_by_one_proc ~select ~delta)
-
-let apply_all faults prog = List.fold_left (fun p f -> apply f p) prog faults
-
-(* Counting helpers reuse the exact rewrite traversals, so a site index
-   found here is the same [Nth k] the rewriters select. *)
-let count_matches (p : Ir.proc_ir) matches =
+(* Segment passes number sites in body order, except that an [if] is
+   visited else branch, then branch, condition, and a loop step block,
+   body, condition.  The loop pass numbers every loop pre-order (else
+   branch before then branch) and calls [f] only for loops with a
+   site. *)
+let walk pass (p : Ir.proc_ir) f =
   let n = ref 0 in
-  let f insts =
-    List.iter (fun (g : Ir.ginst) -> if matches g then incr n) insts;
-    insts
-  in
-  ignore (map_segments f p.Ir.body);
-  !n
-
-let rewriteable_loop_indices (p : Ir.proc_ir) =
-  let acc = ref [] and n = ref 0 in
-  let f cond cond_insts =
+  let next () =
     let k = !n in
     incr n;
-    if
-      List.exists
-        (fun (g : Ir.ginst) ->
-          match g.Ir.i with
-          | Ir.Bin { dst; op = Lt | Le | Gt | Ge; _ } -> dst = cond
-          | _ -> false)
-        cond_insts
-    then acc := k :: !acc;
-    cond_insts
+    k
   in
-  ignore (map_loop_conds f p.Ir.body);
-  List.rev !acc
+  let seg insts =
+    List.concat_map (fun g -> if is_site pass p g then f (next ()) g else [ g ]) insts
+  in
+  let rec segments body =
+    List.map
+      (function
+        | Ir.Straight insts -> Ir.Straight (seg insts)
+        | Ir.If_else r ->
+            let else_ = segments r.else_ in
+            let then_ = segments r.then_ in
+            Ir.If_else { r with cond_insts = seg r.cond_insts; then_; else_ }
+        | Ir.Loop r ->
+            let step_insts = seg r.step_insts in
+            let body = segments r.body in
+            Ir.Loop { r with cond_insts = seg r.cond_insts; body; step_insts })
+      body
+  in
+  (* the site of a loop is the first ordering compare defining [cond] *)
+  let rec bound cond fk = function
+    | [] -> []
+    | ({ Ir.i = Ir.Bin { dst; op = Lt | Le | Gt | Ge; _ }; _ } as g) :: rest when dst = cond ->
+        fk g @ rest
+    | g :: rest -> g :: bound cond fk rest
+  in
+  let rec loops body =
+    List.map
+      (function
+        | Ir.Straight _ as it -> it
+        | Ir.If_else r ->
+            let else_ = loops r.else_ in
+            Ir.If_else { r with then_ = loops r.then_; else_ }
+        | Ir.Loop r ->
+            let cond_insts = bound r.cond (f (next ())) r.cond_insts in
+            Ir.Loop { r with cond_insts; body = loops r.body })
+      body
+  in
+  match pass with Loops -> loops p.Ir.body | _ -> segments p.Ir.body
 
-let range n = List.init n (fun k -> k)
+let stream_elem (prog : Ir.program_ir) s =
+  match List.find_opt (fun (d : stream_decl) -> d.sname = s) prog.Ir.streams with
+  | Some d -> d.elem
+  | None -> int32_t
+
+let faults_at prog pass fproc k =
+  let select = Nth k in
+  match pass with
+  | Compares -> [ Narrow_compare { fproc; select; mask_bits = 5 } ]
+  | Stores -> [ Read_for_write { fproc; select } ]
+  | Writes stream ->
+      (* a mid-range bit stuck at 1 (corrupts any plausible payload) and
+         a low bit stuck at 0: the two stuck-at polarities fail
+         differently downstream *)
+      let width =
+        match stream_elem prog stream with Tint (_, w) -> bits_of_width w | Tbool -> 1 | _ -> 32
+      in
+      [
+        Stuck_stream_bit { fproc; stream; select; bit = Stdlib.max 1 (width / 2) - 1; stuck_to = true };
+        Stuck_stream_bit { fproc; stream; select; bit = 0; stuck_to = false };
+        Drop_stream_write { fproc; stream; select };
+      ]
+  | Loops ->
+      (* one extra and one missing iteration are distinct bugs: the
+         former over-reads (often a hang), the latter silently
+         truncates *)
+      [
+        Loop_bound_off_by_one { fproc; select; delta = 1L };
+        Loop_bound_off_by_one { fproc; select; delta = -1L };
+      ]
 
 (** Enumerate every candidate fault site of a lowered program as a list
     of concrete single-site faults ([Nth]-selected), one per matching
     instruction or loop, across all hardware processes.
 
     Enumerate against the {e baseline}-strategy IR: the counting rules
-    above (application stores only, per-stream anchoring, loops-only
+    (application stores only, per-stream anchoring, loops-only
     pre-order) keep each ordinal naming the same source construct under
     the instrumented strategies, so one site list drives the whole
     campaign. *)
 let sites (prog : Ir.program_ir) : t list =
-  let stream_width s =
-    match List.find_opt (fun (d : stream_decl) -> d.sname = s) prog.Ir.streams with
-    | Some { elem = Tint (_, w); _ } -> bits_of_width w
-    | Some { elem = Tbool; _ } -> 1
-    | Some _ | None -> 32
-  in
   List.concat_map
     (fun (p : Ir.proc_ir) ->
       if p.Ir.kind <> Hardware then []
       else
-        let fproc = p.Ir.name in
-        let compares =
-          count_matches p (fun g -> is_wide_compare g.Ir.i)
-        in
-        let app_stores =
-          count_matches p (fun g ->
-              match g.Ir.i with
-              | Ir.Store { mem; _ } -> is_app_store p mem
-              | _ -> false)
-        in
-        let narrow =
-          List.map
-            (fun k -> Narrow_compare { fproc; select = Nth k; mask_bits = 5 })
-            (range compares)
-        in
-        let rfw =
-          List.map (fun k -> Read_for_write { fproc; select = Nth k }) (range app_stores)
-        in
-        let stream_faults =
-          List.concat_map
-            (fun (d : stream_decl) ->
-              let writes =
-                count_matches p (fun g ->
-                    match g.Ir.i with
-                    | Ir.Swrite { stream; _ } -> stream = d.sname
-                    | _ -> false)
-              in
-              List.concat_map
-                (fun k ->
-                  (* a mid-range bit stuck at 1 (corrupts any plausible
-                     payload) and a low bit stuck at 0: the two stuck-at
-                     polarities fail differently downstream *)
-                  let bit = Stdlib.max 1 (stream_width d.sname / 2) - 1 in
-                  [
-                    Stuck_stream_bit
-                      { fproc; stream = d.sname; select = Nth k; bit; stuck_to = true };
-                    Stuck_stream_bit
-                      { fproc; stream = d.sname; select = Nth k; bit = 0; stuck_to = false };
-                    Drop_stream_write { fproc; stream = d.sname; select = Nth k };
-                  ])
-                (range writes))
-            prog.Ir.streams
-        in
-        let loops =
-          List.concat_map
-            (fun k ->
-              (* one extra and one missing iteration are distinct bugs:
-                 the former over-reads (often a hang), the latter
-                 silently truncates *)
-              [
-                Loop_bound_off_by_one { fproc; select = Nth k; delta = 1L };
-                Loop_bound_off_by_one { fproc; select = Nth k; delta = -1L };
-              ])
-            (rewriteable_loop_indices p)
-        in
-        narrow @ rfw @ stream_faults @ loops)
+        List.concat_map
+          (fun pass ->
+            let acc = ref [] in
+            ignore (walk pass p (fun k g -> acc := faults_at prog pass p.Ir.name k :: !acc; [ g ]));
+            List.concat (List.rev !acc))
+          (passes prog))
     prog.Ir.procs
+
+(* Fresh registers are numbered after the process's own and appended to
+   its allocation list in creation order. *)
+type regs = { mutable next : int; mutable added : (Ir.reg * Ir.reg_info) list }
+
+let regs_of (p : Ir.proc_ir) =
+  { next = List.fold_left (fun acc (r, _) -> Stdlib.max acc (r + 1)) 0 p.Ir.regs; added = [] }
+
+let fresh rs ?origin rty =
+  let r = rs.next in
+  rs.next <- r + 1;
+  rs.added <- (r, { Ir.rty; origin }) :: rs.added;
+  r
+
+let with_regs (p : Ir.proc_ir) rs body = { p with Ir.body; regs = p.Ir.regs @ List.rev rs.added }
+
+let low_bits n = Int64.sub (Int64.shift_left 1L n) 1L
+
+(* The legacy rewrite of one site: the instructions the faulty
+   translation emits in its place. *)
+let rewrite prog (p : Ir.proc_ir) rs fault (g : Ir.ginst) =
+  match (fault, g.Ir.i) with
+  | Narrow_compare { mask_bits; _ }, Ir.Bin { dst; op; a; b; _ } ->
+      (* 4294967286 & 31 = 22 and 4294967296 & 31 = 0: the Figure 3
+         numbers. *)
+      let mask = low_bits mask_bits and narrow_ty = Tint (Unsigned, W64) in
+      let ta = fresh rs narrow_ty and tb = fresh rs narrow_ty in
+      [
+        { g with Ir.i = Ir.Bin { dst = ta; op = Band; a; b = Ir.Imm mask; ty = narrow_ty } };
+        { g with Ir.i = Ir.Bin { dst = tb; op = Band; a = b; b = Ir.Imm mask; ty = narrow_ty } };
+        { g with Ir.i = Ir.Bin { dst; op; a = Ir.Reg ta; b = Ir.Reg tb; ty = narrow_ty } };
+      ]
+  | Read_for_write _, Ir.Store { mem; addr; _ } ->
+      let elem = match Ir.find_mem p mem with Some m -> m.Ir.elem | None -> int32_t in
+      [ { g with Ir.i = Ir.Load { dst = fresh rs elem; mem; addr } } ]
+  | Stuck_stream_bit { stream; bit; stuck_to; _ }, Ir.Swrite { v; _ } ->
+      (* a stream-write datapath bit wired to a constant: the written
+         value passes through an OR (stuck at 1) or AND (stuck at 0)
+         with a one-hot mask *)
+      let elem = stream_elem prog stream in
+      let tv = fresh rs elem in
+      let one_hot = Int64.shift_left 1L bit in
+      let op, mask = if stuck_to then (Bor, one_hot) else (Band, Int64.lognot one_hot) in
+      [
+        { g with Ir.i = Ir.Bin { dst = tv; op; a = v; b = Ir.Imm mask; ty = elem } };
+        { g with Ir.i = Ir.Swrite { stream; v = Ir.Reg tv } };
+      ]
+  | Drop_stream_write _, Ir.Swrite _ ->
+      (* the FIFO write-enable never asserts (the handshake still
+         advances): the push is guarded on a fresh register that is
+         never written and therefore stays 0 *)
+      [ { g with Ir.guard = Some (fresh rs Tbool, true) } ]
+  | Loop_bound_off_by_one { delta; _ }, Ir.Bin { dst; op; a; b; ty } ->
+      (* the trip-count comparison sees a bound off by [delta] *)
+      let pre, b' =
+        match b with
+        | Ir.Imm n -> ([], Ir.Imm (Int64.add n delta))
+        | Ir.Reg r ->
+            let tb = fresh rs ty in
+            ( [ { g with Ir.i = Ir.Bin { dst = tb; op = Add; a = Ir.Reg r; b = Ir.Imm delta; ty } } ],
+              Ir.Reg tb )
+      in
+      pre @ [ { g with Ir.i = Ir.Bin { dst; op; a; b = b'; ty } } ]
+  | _ -> [ g ]
+
+(** Apply one fault to a whole program IR. *)
+let apply (fault : t) (prog : Ir.program_ir) : Ir.program_ir =
+  let fproc, pass, select = target fault in
+  let rewrite_proc (p : Ir.proc_ir) =
+    let rs = regs_of p in
+    with_regs p rs
+      (walk pass p (fun k g ->
+           match select with Nth n when n <> k -> [ g ] | _ -> rewrite prog p rs fault g))
+  in
+  {
+    prog with
+    Ir.procs =
+      List.map (fun (p : Ir.proc_ir) -> if p.Ir.name = fproc then rewrite_proc p else p) prog.Ir.procs;
+  }
+
+let apply_all faults prog = List.fold_left (fun p f -> apply f p) prog faults
 
 (* --- Padded instrumentation (split-stream evaluation) ---------------------- *)
 
@@ -397,7 +280,7 @@ let sites (prog : Ir.program_ir) : t list =
    at their reset value 0 every pad is an arithmetic identity, so the
    padded design behaves exactly like the original — and arming a single
    site (patching its registers) reproduces the corresponding legacy
-   rewrite's semantics.  A marker tap (id [marker_base] + site index)
+   rewrite's semantics.  A marker tap (id [Ir.marker_base] + site index)
    placed ahead of each site reports first-activation cycles through
    {!Sim.Engine}'s [on_site] hook. *)
 
@@ -418,234 +301,112 @@ type instrumented = {
   ip_sites : site list;     (** in {!sites} enumeration order *)
 }
 
-let default_marker_base = 1_000_000
+(* The origin name of the pad register arming a fault at ordinal [k];
+   the two loop faults share one. *)
+let pad_name k = function
+  | Narrow_compare _ -> Printf.sprintf "__fault_nc_%d" k
+  | Read_for_write _ -> Printf.sprintf "__fault_rfw_%d" k
+  | Stuck_stream_bit { stream; stuck_to; _ } ->
+      Printf.sprintf "__fault_sw_%s_%d_%s" stream k (if stuck_to then "or" else "and")
+  | Drop_stream_write { stream; _ } -> Printf.sprintf "__fault_sw_%s_%d_en" stream k
+  | Loop_bound_off_by_one _ -> Printf.sprintf "__fault_loop_%d" k
 
-let instrument_all ?(marker_base = default_marker_base) (prog : Ir.program_ir) :
-    instrumented =
+(* The pad register's value that reproduces the legacy rewrite. *)
+let arm_value = function
+  | Narrow_compare { mask_bits; _ } -> Int64.lognot (low_bits mask_bits)
+  | Stuck_stream_bit { bit; stuck_to = true; _ } -> Int64.shift_left 1L bit
+  | Read_for_write _ | Stuck_stream_bit _ | Drop_stream_write _ -> 1L
+  | Loop_bound_off_by_one { delta; _ } -> delta
+
+let instrument_all (prog : Ir.program_ir) : instrumented =
   let gidx = ref 0 in
   let sites_acc = ref [] in
-  let stream_width s =
-    match List.find_opt (fun (d : stream_decl) -> d.sname = s) prog.Ir.streams with
-    | Some { elem = Tint (_, w); _ } -> bits_of_width w
-    | Some { elem = Tbool; _ } -> 1
-    | Some _ | None -> 32
-  in
-  let stream_elem s =
-    match List.find_opt (fun (d : stream_decl) -> d.sname = s) prog.Ir.streams with
-    | Some d -> d.elem
-    | None -> int32_t
+  let instrument (p : Ir.proc_ir) =
+    let fproc = p.Ir.name and rs = regs_of p in
+    let add_site fault arm padded =
+      let i = !gidx in
+      incr gidx;
+      sites_acc :=
+        { s_index = i; s_fault = fault; s_proc = fproc; s_arm = arm; s_padded = padded }
+        :: !sites_acc;
+      i
+    in
+    let pad pass k (g : Ir.ginst) =
+      let faults = faults_at prog pass fproc k in
+      (* a guarded store, stream write or loop compare has no pad: the
+         campaign evaluates its faults through {!apply} *)
+      if g.Ir.guard <> None && pass <> Compares then begin
+        List.iter (fun f -> ignore (add_site f [] false)) faults;
+        [ g ]
+      end
+      else
+        let names = List.map (pad_name k) faults in
+        let markers =
+          List.map2
+            (fun f name ->
+              let idx = add_site f [ (name, arm_value f) ] true in
+              { g with Ir.i = Ir.Tap { id = Ir.marker_base + idx; args = [] } })
+            faults names
+        in
+        let arm i rty = fresh rs ~origin:(List.nth names i) rty in
+        markers
+        @
+        match (pass, g.Ir.i) with
+        | Compares, Ir.Bin { dst; op; a; b; ty } ->
+            (* dst = (a & ~fm) `op` (b & ~fm): fm = ~mask reproduces the
+               mask_bits-bit comparison of Figure 3 (masked operands are
+               non-negative, so the original signedness is equivalent to
+               the legacy unsigned compare) *)
+            let fm = arm 0 ty in
+            let m = fresh rs ty and ta = fresh rs ty and tb = fresh rs ty in
+            [
+              { g with Ir.i = Ir.Un { dst = m; op = Bnot; a = Ir.Reg fm; ty } };
+              { g with Ir.i = Ir.Bin { dst = ta; op = Band; a; b = Ir.Reg m; ty } };
+              { g with Ir.i = Ir.Bin { dst = tb; op = Band; a = b; b = Ir.Reg m; ty } };
+              { g with Ir.i = Ir.Bin { dst; op; a = Ir.Reg ta; b = Ir.Reg tb; ty } };
+            ]
+        | Stores, Ir.Store { mem; addr; v } ->
+            (* the store and a shadow load guarded on a flag: fw = 1
+               loads only (the Triple-DES mistranslation) *)
+            let fw = arm 0 Tbool in
+            let elem = match Ir.find_mem p mem with Some m -> m.Ir.elem | None -> int32_t in
+            let dead = fresh rs elem in
+            [
+              { Ir.i = Ir.Store { mem; addr; v }; guard = Some (fw, false) };
+              { Ir.i = Ir.Load { dst = dead; mem; addr }; guard = Some (fw, true) };
+            ]
+        | Writes stream, Ir.Swrite { v; _ } ->
+            (* one pad group {or-mask, and-mask, enable} serves the
+               stuck-at-1, stuck-at-0 and dropped-write faults *)
+            let elem = stream_elem prog stream in
+            let om = arm 0 elem in
+            let am = arm 1 elem in
+            let en = arm 2 Tbool in
+            let t1 = fresh rs elem and m2 = fresh rs elem and t2 = fresh rs elem in
+            [
+              { g with Ir.i = Ir.Bin { dst = t1; op = Bor; a = v; b = Ir.Reg om; ty = elem } };
+              { g with Ir.i = Ir.Un { dst = m2; op = Bnot; a = Ir.Reg am; ty = elem } };
+              { g with Ir.i = Ir.Bin { dst = t2; op = Band; a = Ir.Reg t1; b = Ir.Reg m2; ty = elem } };
+              { Ir.i = Ir.Swrite { stream; v = Ir.Reg t2 }; guard = Some (en, false) };
+            ]
+        | Loops, Ir.Bin { dst; op; a; b; ty } ->
+            (* the compare reads bound + dr; the adjusted bound is
+               materialized even for immediate bounds so arming never
+               changes the schedule *)
+            let dr = arm 0 ty in
+            let td = fresh rs ty in
+            [
+              { g with Ir.i = Ir.Bin { dst = td; op = Add; a = b; b = Ir.Reg dr; ty } };
+              { g with Ir.i = Ir.Bin { dst; op; a; b = Ir.Reg td; ty } };
+            ]
+        | _ -> [ g ]
+    in
+    with_regs p rs
+      (List.fold_left
+         (fun body pass -> walk pass { p with Ir.body } (pad pass))
+         p.Ir.body (passes prog))
   in
   let procs =
-    List.map
-      (fun (p : Ir.proc_ir) ->
-        if p.Ir.kind <> Hardware then p
-        else begin
-          let fproc = p.Ir.name in
-          let next_reg =
-            ref (List.fold_left (fun acc (r, _) -> Stdlib.max acc (r + 1)) 0 p.Ir.regs)
-          in
-          let new_regs = ref [] in
-          let fresh ?origin rty =
-            let r = !next_reg in
-            incr next_reg;
-            new_regs := (r, { Ir.rty; origin }) :: !new_regs;
-            r
-          in
-          let add_site fault arm padded =
-            let i = !gidx in
-            incr gidx;
-            sites_acc :=
-              { s_index = i; s_fault = fault; s_proc = fproc; s_arm = arm;
-                s_padded = padded }
-              :: !sites_acc;
-            i
-          in
-          let marker (g : Ir.ginst) idx =
-            { g with Ir.i = Ir.Tap { id = marker_base + idx; args = [] } }
-          in
-          (* 1. narrow compares: dst = (a & ~fm) `op` (b & ~fm); fm = 0
-             leaves both operands intact, fm = ~mask reproduces the
-             mask_bits-bit comparison of Figure 3 (masked operands are
-             non-negative, so the original signedness is equivalent to
-             the legacy unsigned compare). *)
-          let nc = ref 0 in
-          let body =
-            map_segments
-              (fun insts ->
-                List.concat_map
-                  (fun (g : Ir.ginst) ->
-                    match g.Ir.i with
-                    | Ir.Bin { dst; op; a; b; ty } when is_wide_compare g.Ir.i ->
-                        let k = !nc in
-                        incr nc;
-                        let mask_bits = 5 in
-                        let fault = Narrow_compare { fproc; select = Nth k; mask_bits } in
-                        let pname = Printf.sprintf "__fault_nc_%d" k in
-                        let mask = Int64.sub (Int64.shift_left 1L mask_bits) 1L in
-                        let idx = add_site fault [ (pname, Int64.lognot mask) ] true in
-                        let fm = fresh ~origin:pname ty in
-                        let m = fresh ty and ta = fresh ty and tb = fresh ty in
-                        [
-                          marker g idx;
-                          { g with Ir.i = Ir.Un { dst = m; op = Bnot; a = Ir.Reg fm; ty } };
-                          { g with Ir.i = Ir.Bin { dst = ta; op = Band; a; b = Ir.Reg m; ty } };
-                          { g with Ir.i = Ir.Bin { dst = tb; op = Band; a = b; b = Ir.Reg m; ty } };
-                          { g with Ir.i = Ir.Bin { dst; op; a = Ir.Reg ta; b = Ir.Reg tb; ty } };
-                        ]
-                    | _ -> [ g ])
-                  insts)
-              p.Ir.body
-          in
-          (* 2. read-for-write: the store and a shadow load guarded on a
-             flag register; fw = 0 stores (original), fw = 1 loads only
-             (the Triple-DES mistranslation). *)
-          let rfw = ref 0 in
-          let body =
-            map_segments
-              (fun insts ->
-                List.concat_map
-                  (fun (g : Ir.ginst) ->
-                    match g.Ir.i with
-                    | Ir.Store { mem; addr; v } when is_app_store p mem ->
-                        let k = !rfw in
-                        incr rfw;
-                        let fault = Read_for_write { fproc; select = Nth k } in
-                        if g.Ir.guard <> None then begin
-                          ignore (add_site fault [] false);
-                          [ g ]
-                        end
-                        else begin
-                          let pname = Printf.sprintf "__fault_rfw_%d" k in
-                          let idx = add_site fault [ (pname, 1L) ] true in
-                          let fw = fresh ~origin:pname Tbool in
-                          let elem =
-                            match Ir.find_mem p mem with
-                            | Some m -> m.Ir.elem
-                            | None -> int32_t
-                          in
-                          let dead = fresh elem in
-                          [
-                            marker g idx;
-                            { Ir.i = Ir.Store { mem; addr; v }; guard = Some (fw, false) };
-                            { Ir.i = Ir.Load { dst = dead; mem; addr }; guard = Some (fw, true) };
-                          ]
-                        end
-                    | _ -> [ g ])
-                  insts)
-              body
-          in
-          (* 3. stream writes: one pad group {or-mask, and-mask, enable}
-             per write serves all three faults of the occurrence
-             (stuck-at-1, stuck-at-0, dropped write). *)
-          let body =
-            List.fold_left
-              (fun body (d : stream_decl) ->
-                let occ = ref 0 in
-                map_segments
-                  (fun insts ->
-                    List.concat_map
-                      (fun (g : Ir.ginst) ->
-                        match g.Ir.i with
-                        | Ir.Swrite { stream = s; v } when s = d.sname ->
-                            let k = !occ in
-                            incr occ;
-                            let bit = Stdlib.max 1 (stream_width s / 2) - 1 in
-                            let f1 =
-                              Stuck_stream_bit
-                                { fproc; stream = s; select = Nth k; bit; stuck_to = true }
-                            and f0 =
-                              Stuck_stream_bit
-                                { fproc; stream = s; select = Nth k; bit = 0;
-                                  stuck_to = false }
-                            and fd = Drop_stream_write { fproc; stream = s; select = Nth k } in
-                            if g.Ir.guard <> None then begin
-                              ignore (add_site f1 [] false);
-                              ignore (add_site f0 [] false);
-                              ignore (add_site fd [] false);
-                              [ g ]
-                            end
-                            else begin
-                              let base = Printf.sprintf "__fault_sw_%s_%d" s k in
-                              let n_or = base ^ "_or"
-                              and n_and = base ^ "_and"
-                              and n_en = base ^ "_en" in
-                              let i1 =
-                                add_site f1 [ (n_or, Int64.shift_left 1L bit) ] true
-                              in
-                              let i0 = add_site f0 [ (n_and, 1L) ] true in
-                              let id_ = add_site fd [ (n_en, 1L) ] true in
-                              let elem = stream_elem s in
-                              let om = fresh ~origin:n_or elem in
-                              let am = fresh ~origin:n_and elem in
-                              let en = fresh ~origin:n_en Tbool in
-                              let t1 = fresh elem and m2 = fresh elem and t2 = fresh elem in
-                              [
-                                marker g i1;
-                                marker g i0;
-                                marker g id_;
-                                { g with
-                                  Ir.i = Ir.Bin { dst = t1; op = Bor; a = v; b = Ir.Reg om; ty = elem } };
-                                { g with
-                                  Ir.i = Ir.Un { dst = m2; op = Bnot; a = Ir.Reg am; ty = elem } };
-                                { g with
-                                  Ir.i =
-                                    Ir.Bin
-                                      { dst = t2; op = Band; a = Ir.Reg t1; b = Ir.Reg m2; ty = elem } };
-                                { Ir.i = Ir.Swrite { stream = s; v = Ir.Reg t2 };
-                                  guard = Some (en, false) };
-                              ]
-                            end
-                        | _ -> [ g ])
-                      insts)
-                  body)
-              body prog.Ir.streams
-          in
-          (* 4. loop bounds: the trip-count comparison reads bound + dr;
-             dr = 0 is exact, ±1 reproduces the off-by-one translations.
-             The adjusted bound is materialized even for immediate bounds
-             so arming never changes the schedule. *)
-          let loop = ref 0 in
-          let body =
-            map_loop_conds
-              (fun cond cond_insts ->
-                let k = !loop in
-                incr loop;
-                let rewritten = ref false in
-                List.concat_map
-                  (fun (g : Ir.ginst) ->
-                    match g.Ir.i with
-                    | Ir.Bin { dst; op = (Lt | Le | Gt | Ge) as op; a; b; ty }
-                      when (not !rewritten) && dst = cond ->
-                        rewritten := true;
-                        let fplus = Loop_bound_off_by_one { fproc; select = Nth k; delta = 1L }
-                        and fminus =
-                          Loop_bound_off_by_one { fproc; select = Nth k; delta = -1L }
-                        in
-                        if g.Ir.guard <> None then begin
-                          ignore (add_site fplus [] false);
-                          ignore (add_site fminus [] false);
-                          [ g ]
-                        end
-                        else begin
-                          let pname = Printf.sprintf "__fault_loop_%d" k in
-                          let ip = add_site fplus [ (pname, 1L) ] true in
-                          let im = add_site fminus [ (pname, -1L) ] true in
-                          let dr = fresh ~origin:pname ty in
-                          let td = fresh ty in
-                          [
-                            marker g ip;
-                            marker g im;
-                            { g with
-                              Ir.i = Ir.Bin { dst = td; op = Add; a = b; b = Ir.Reg dr; ty } };
-                            { g with Ir.i = Ir.Bin { dst; op; a; b = Ir.Reg td; ty } };
-                          ]
-                        end
-                    | _ -> [ g ])
-                  cond_insts)
-              body
-          in
-          { p with Ir.body; regs = p.Ir.regs @ List.rev !new_regs }
-        end)
-      prog.Ir.procs
+    List.map (fun (p : Ir.proc_ir) -> if p.Ir.kind <> Hardware then p else instrument p) prog.Ir.procs
   in
   { ip_prog = { prog with Ir.procs }; ip_sites = List.rev !sites_acc }

@@ -3,7 +3,11 @@
     scheduling.  The software-simulation path interprets the *source*,
     so it never sees these faults — recreating the paper's headline
     scenario: assertions pass in software simulation and fail (or expose
-    a hang) only in circuit. *)
+    a hang) only in circuit.
+
+    What a fault site is, and how the sites of a kind are numbered, is
+    decided in one place, {!walk}; every consumer of sites goes through
+    it. *)
 
 (** Which matching site to corrupt (0-based occurrence index). *)
 type selector = All | Nth of int
@@ -37,42 +41,54 @@ val kind_name : t -> string
 (** One-line human-readable description of a concrete fault. *)
 val describe : t -> string
 
+(** {2 Fault sites}
+
+    {!walk} is the one definition of a fault site.  {!sites},
+    {!apply}, {!instrument_all} and {!Prefilter}'s observation table
+    all number sites with it, so [Nth k] names the same instruction in
+    each.  A process is walked once per {!pass}, in {!passes} order:
+    64-bit ordering compares, application stores (stores into an
+    optimizer-made replica memory are no site), the writes to each
+    stream in turn (streams in declaration order, each numbered from 0),
+    then loops.  A segment pass numbers sites in body order, except
+    that an [if] is visited else branch, then branch, condition block,
+    and a loop step block, body, condition block.  The loop pass numbers
+    every loop pre-order (else branch before then branch); a loop's
+    site is the first ordering compare defining its condition register,
+    and a loop without one keeps its number but has no site.  Walk the
+    baseline-strategy IR: the rules keep each ordinal naming the same
+    source construct under the instrumented strategies. *)
+
+type pass =
+  | Compares  (** 64-bit ordering compares: narrow-compare sites *)
+  | Stores  (** application stores: read-for-write sites *)
+  | Writes of string  (** writes to one stream: stuck-bit and drop-write sites *)
+  | Loops  (** loop bound compares: off-by-one sites *)
+
+(** The passes over a process, in site-list order. *)
+val passes : Mir.Ir.program_ir -> pass list
+
+(** [walk pass p f] calls [f k g] on each site instruction [g] of the
+    pass in [p]'s body, [k] its ordinal, and returns the body with each
+    site replaced by the instructions [f] returns. *)
+val walk :
+  pass -> Mir.Ir.proc_ir -> (int -> Mir.Ir.ginst -> Mir.Ir.ginst list) -> Mir.Ir.body
+
+(** The process, pass and selector a fault targets. *)
+val target : t -> string * pass * selector
+
+(** Every candidate fault of a lowered program, as [Nth]-selected
+    single-site faults, over every pass of every hardware process.  Each
+    site carries: a 5-bit narrow compare; a read-for-write; for a stream
+    write, bit [max 1 (width/2) - 1] stuck at 1, bit 0 stuck at 0 and a
+    dropped write; for a loop, its bound [+1] and [-1]. *)
+val sites : Mir.Ir.program_ir -> t list
+
 (** Apply one fault to a program IR (processes other than the target are
-    untouched). *)
+    untouched): the legacy rewrite of each selected site. *)
 val apply : t -> Mir.Ir.program_ir -> Mir.Ir.program_ir
 
 val apply_all : t list -> Mir.Ir.program_ir -> Mir.Ir.program_ir
-
-(** Enumerate every candidate fault site of a lowered program as
-    concrete single-site ([Nth]-selected) faults: every wide comparison,
-    every application store, every stream write (as both a stuck bit and
-    a dropped write), and every loop with a rewriteable bound, across
-    all hardware processes.  Enumerate on the baseline-strategy IR — the
-    ordinals are stable under the instrumented strategies. *)
-val sites : Mir.Ir.program_ir -> t list
-
-(** {2 Traversal helpers}
-
-    Exposed for {!Prefilter}, which must number fault sites in exactly
-    the order the rewriters and {!sites} do. *)
-
-(** Rewrite every straight-line instruction segment of a body, in the
-    shared traversal order all site counting uses. *)
-val map_segments :
-  (Mir.Ir.ginst list -> Mir.Ir.ginst list) -> Mir.Ir.body -> Mir.Ir.body
-
-(** Rewrite every loop's condition block, pre-order. *)
-val map_loop_conds :
-  (Mir.Ir.reg -> Mir.Ir.ginst list -> Mir.Ir.ginst list) ->
-  Mir.Ir.body ->
-  Mir.Ir.body
-
-(** The narrow-compare site predicate (64-bit ordering comparison). *)
-val is_wide_compare : Mir.Ir.inst -> bool
-
-(** True when [mem] is an application store target (not a replica
-    mirror added by the optimizer). *)
-val is_app_store : Mir.Ir.proc_ir -> string -> bool
 
 (** {2 Padded instrumentation (split-stream evaluation)}
 
@@ -84,8 +100,9 @@ val is_app_store : Mir.Ir.proc_ir -> string -> bool
     arithmetic identity (the padded design behaves exactly like the
     original), and arming a single site — patching its registers via
     {!Sim.Engine.arm} — reproduces the corresponding legacy rewrite's
-    semantics.  A marker tap placed ahead of each site reports
-    first-activation cycles through the engine's [on_site] hook. *)
+    semantics.  A marker tap ([Mir.Ir.marker_base] + site index) placed
+    ahead of each site reports first-activation cycles through the
+    engine's [on_site] hook. *)
 
 type site = {
   s_index : int;  (** global site index; marker id = base + index *)
@@ -104,8 +121,8 @@ type instrumented = {
   ip_sites : site list;         (** in {!sites} enumeration order *)
 }
 
-val default_marker_base : int
-
 (** Pad every fault site of the program at once.  [ip_sites] lists the
-    sites in the exact order (and count) of {!sites} on the same IR. *)
-val instrument_all : ?marker_base:int -> Mir.Ir.program_ir -> instrumented
+    sites in the exact order (and count) of {!sites} on the same IR.  A
+    guarded store, stream write or loop compare stays unpadded
+    ([s_padded = false]); a compare is padded guarded or not. *)
+val instrument_all : Mir.Ir.program_ir -> instrumented

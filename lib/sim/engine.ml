@@ -78,7 +78,7 @@ type config = {
           engine cycle for cycle *)
   on_site : (int -> int -> unit) option;
       (** fault-site activity observer, called as [f cycle site] when a
-          marker tap (id >= {!marker_base}) executes.  Markers are pure
+          marker tap (id >= {!Mir.Ir.marker_base}) executes.  Markers are pure
           probes: they bypass the checkers, the timing machinery and the
           watchdog's tap accounting entirely *)
 }
@@ -87,11 +87,6 @@ let default_config =
   { max_cycles = 1_000_000; feeds = []; drains = []; handlers = []; hw_models = [];
     params = []; timing_checks = []; trace = false; host_poll_interval = 1;
     watchdog = None; on_tap = None; on_site = None }
-
-(* Tap ids at or above this base are fault-site activity markers, not
-   assertions.  Kept far above any real assertion id; Ir.validate
-   enforces program-wide uniqueness either way. *)
-let marker_base = 1_000_000
 
 (* --- Results ---------------------------------------------------------------- *)
 
@@ -515,12 +510,12 @@ let[@inline] alu_un op c (x : int64) =
 (* Tap event: run the checkers listening on this tap id, and arm /
    discharge timing assertions anchored at it. *)
 let compile_tap t (id : int) : int64 array -> unit =
-  if id >= marker_base then
+  if id >= Ir.marker_base then
     (* site-activity marker: observe and return.  Must not count as a
        tap event (a marker inside a spin loop would otherwise defeat the
        live-lock watchdog) and must not touch checkers or deadlines. *)
     match t.cfg.on_site with
-    | Some f -> fun _ -> f t.cycle (id - marker_base)
+    | Some f -> fun _ -> f t.cycle (id - Ir.marker_base)
     | None -> fun _ -> ()
   else
     let listening = Array.of_list (List.filter (fun c -> c.cid = id) t.checkers) in
@@ -706,7 +701,7 @@ let compile_op t (p : pr) flavour (g : Ir.ginst) : unit -> unit =
         match flavour with
         (* real taps are pure latches and never scheduled at issue time,
            but loop-site activity markers do live in the condition block *)
-        | Issue when id < marker_base -> fun () -> ()
+        | Issue when id < Ir.marker_base -> fun () -> ()
         | _ ->
             let args = Array.of_list (List.map opnd args) and deliver = compile_tap t id in
             fun () -> deliver (Array.map (fun a -> a ()) args))

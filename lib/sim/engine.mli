@@ -68,15 +68,11 @@ type config = {
           engine cycle for cycle *)
   on_site : (int -> int -> unit) option;
       (** fault-site activity observer, called as [f cycle site] when a
-          marker tap with id [marker_base + site] executes.  Markers
+          marker tap with id [Mir.Ir.marker_base + site] executes.  Markers
           bypass checkers, deadlines and the watchdog's tap count. *)
 }
 
 val default_config : config
-
-(** Tap ids at or above this base are fault-site activity markers, not
-    assertions; they are invisible to checkers and statistics. *)
-val marker_base : int
 
 type pipe_stats = {
   ps_proc : string;

@@ -667,15 +667,16 @@ let mine_bench () =
     total_survivors (List.length results) total_marginal dt;
   Printf.printf "  compile cache: %d hits / %d misses (%d sweep domain(s))\n"
     stats.Exec.Cache.hits stats.Exec.Cache.misses jobs;
-  let oc = open_out "BENCH_mine.json" in
-  Printf.fprintf oc
-    "{\"elapsed_seconds\": %.3f, \"survivors\": %d, \"marginal_detections\": %d, \
-     \"jobs\": %d, \"cache_hits\": %d, \"cache_misses\": %d, \"workloads\": [%s]}\n"
-    dt total_survivors total_marginal jobs stats.Exec.Cache.hits stats.Exec.Cache.misses
-    (String.concat ", "
-       (List.map (fun r -> Json.to_string (Mine.Rank.json_of ~top:5 r)) results));
-  close_out oc;
-  print_endline "  wrote BENCH_mine.json"
+  write_artifact "BENCH_mine.json"
+    [
+      ("elapsed_seconds", fixed 3 dt);
+      ("survivors", Json.int total_survivors);
+      ("marginal_detections", Json.int total_marginal);
+      ("jobs", Json.int jobs);
+      ("cache_hits", Json.int stats.Exec.Cache.hits);
+      ("cache_misses", Json.int stats.Exec.Cache.misses);
+      ("workloads", Json.list (Mine.Rank.json_of ~top:5) results);
+    ]
 
 (* --- Static assertion verification --------------------------------------------------- *)
 
@@ -743,24 +744,30 @@ let check_bench () =
         match l with Analysis.Live.Deadlock _ -> Some name | _ -> None)
       rows
   in
-  let oc = open_out "BENCH_check.json" in
-  Printf.fprintf oc
-    "{\"strategy\": \"parallelized\", \"total_proved\": %d, \"liveness_proved\": %d, \
-     \"apps\": [%s]}\n"
-    total_proved liveness_proved
-    (String.concat ", "
-       (List.map
+  write_artifact "BENCH_check.json"
+    [
+      ("strategy", Json.str "parallelized");
+      ("total_proved", Json.int total_proved);
+      ("liveness_proved", Json.int liveness_proved);
+      ( "apps",
+        Json.list
           (fun (name, n, p, v, u, a, rg, f, (ps : Driver.prune_stats), live) ->
-            Printf.sprintf
-              "{\"name\": \"%s\", \"assertions\": %d, \"proved\": %d, \"violated\": %d, \
-               \"unknown\": %d, \"pruned_absint\": %d, \"pruned_induction\": %d, \
-               \"alut_delta\": %d, \"reg_delta\": %d, \"fmax_delta_mhz\": %.2f, \
-               \"liveness\": \"%s\"}"
-              name n p v u ps.Driver.absint_pruned ps.Driver.induction_pruned a rg f
-              (Analysis.Live.class_name live))
-          rows));
-  close_out oc;
-  print_endline "  wrote BENCH_check.json";
+            Json.Obj
+              [
+                ("name", Json.str name);
+                ("assertions", Json.int n);
+                ("proved", Json.int p);
+                ("violated", Json.int v);
+                ("unknown", Json.int u);
+                ("pruned_absint", Json.int ps.Driver.absint_pruned);
+                ("pruned_induction", Json.int ps.Driver.induction_pruned);
+                ("alut_delta", Json.int a);
+                ("reg_delta", Json.int rg);
+                ("fmax_delta_mhz", fixed 2 f);
+                ("liveness", Json.str (Analysis.Live.class_name live));
+              ])
+          rows );
+    ];
   if total_proved = 0 then begin
     prerr_endline "  FAIL: no bundled assertion was statically proved";
     exit 1
@@ -915,22 +922,27 @@ let prove_bench () =
       "  FAIL: pruning the induction-proved checkers saved no ALUTs/registers";
     exit 1
   end;
-  let oc = open_out "BENCH_prove.json" in
-  Printf.fprintf oc
-    "{\"depth\": %d, \"induction\": %d, \"proved\": %d, \"violated\": %d, \
-     \"bounded\": %d, \"unknown\": %d, \"conflicts\": %d, \"decisions\": %d, \
-     \"propagations\": %d, \"induction_pruned\": %d, \"alut_delta\": %d, \
-     \"reg_delta\": %d, \"files\": [%s]}\n"
-    depth induction tp tv tb tu conflicts decisions propagations
-    (List.length keys) alut_d reg_d
-    (String.concat ", "
-       (List.map
+  write_artifact "BENCH_prove.json"
+    [
+      ("depth", Json.int depth);
+      ("induction", Json.int induction);
+      ("proved", Json.int tp);
+      ("violated", Json.int tv);
+      ("bounded", Json.int tb);
+      ("unknown", Json.int tu);
+      ("conflicts", Json.int conflicts);
+      ("decisions", Json.int decisions);
+      ("propagations", Json.int propagations);
+      ("induction_pruned", Json.int (List.length keys));
+      ("alut_delta", Json.int alut_d);
+      ("reg_delta", Json.int reg_d);
+      ( "files",
+        Json.list
           (fun (name, r) ->
-            Printf.sprintf "{\"name\": \"%s\", \"report\": %s}" name
-              (String.trim (Json.to_string (Analysis.Verdict.json_of ~file:name r))))
-          reports));
-  close_out oc;
-  print_endline "  wrote BENCH_prove.json"
+            Json.Obj
+              [ ("name", Json.str name); ("report", Analysis.Verdict.json_of ~file:name r) ])
+          reports );
+    ]
 
 (* --- Torture harness ----------------------------------------------------------------- *)
 
@@ -1132,16 +1144,16 @@ let serve_bench () =
   Printf.printf "  resubmitted campaign: %d memory hit(s), %d disk hit(s)\n"
     cache.Serve.Proto.cd_memory_hits cache.Serve.Proto.cd_disk_hits;
   Serve.Server.stop t;
-  let oc = open_out "BENCH_serve.json" in
-  Printf.fprintf oc
-    "{\"check_cold_seconds\": %.3f, \"check_warm_jobs_per_second\": %.1f, \
-     \"check_warm_speedup\": %.3f, \"campaign_seconds\": %.3f, \
-     \"shard_determinism\": \"ok\", \"campaign_memory_hits\": %d, \
-     \"campaign_disk_hits\": %d}\n"
-    cold_dt warm_jps warm_speedup par_dt cache.Serve.Proto.cd_memory_hits
-    cache.Serve.Proto.cd_disk_hits;
-  close_out oc;
-  print_endline "  wrote BENCH_serve.json"
+  write_artifact "BENCH_serve.json"
+    [
+      ("check_cold_seconds", fixed 3 cold_dt);
+      ("check_warm_jobs_per_second", fixed 1 warm_jps);
+      ("check_warm_speedup", fixed 3 warm_speedup);
+      ("campaign_seconds", fixed 3 par_dt);
+      ("shard_determinism", Json.str "ok");
+      ("campaign_memory_hits", Json.int cache.Serve.Proto.cd_memory_hits);
+      ("campaign_disk_hits", Json.int cache.Serve.Proto.cd_disk_hits);
+    ]
 
 (* --- Bechamel micro-benchmarks ------------------------------------------------------ *)
 

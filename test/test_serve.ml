@@ -711,6 +711,145 @@ let test_stale_socket_reclaimed () =
   | Error e -> Alcotest.fail e);
   Serve.Server.stop t
 
+(* --- compile-artifact pins ------------------------------------------------- *)
+
+(* What a compile renders, per example and strategy: the [inca compile]
+   text and JSON report (both from one [Sched.run]), the VHDL and the
+   notification C.  Rendering moved out of the compile must leave every
+   digest unchanged. *)
+let artifact_pin f (sname, strategy) =
+  let o =
+    Serve.Sched.run
+      (Job.Compile
+         {
+           Job.c_source = Job.Path (Filename.concat Pin.examples_dir f);
+           c_strategy = sname;
+           c_nabort = false;
+           c_ndebug = false;
+           c_prune_proved = false;
+           c_prune_induction = 0;
+         })
+  in
+  let c =
+    Core.Driver.compile ~strategy
+      (Front.Typecheck.parse_and_check ~file:f (Pin.read_example f))
+  in
+  Printf.sprintf "(%S, %S, %S, %S, %S);" (f ^ "/" ^ sname)
+    (Pin.hex o.Serve.Sched.sc_text)
+    (Pin.hex (Report.to_string o.Serve.Sched.sc_report))
+    (Pin.hex (Core.Driver.vhdl c))
+    (Pin.hex c.Core.Driver.notification_source)
+
+(* (example/strategy, compile text, compile JSON, VHDL, notification C).
+   Re-pin only for an intended change of the rendered artifacts. *)
+let artifact_pins =
+  [
+    ( "campaign.c/baseline",
+      "3c231bd713c2e4ce9e804abb72881593", "b60bdb16231d551c2a297b46c822e90d",
+      "4d1c54abd76ad39575b4f0d5e4df8ed4", "d9730014077847c7284fc9d1d27c8ac3" );
+    ( "campaign.c/unoptimized",
+      "5b35c0188523c98f2c2eb7bf53e6d4e1", "a040e9f9e245828a60180ef5bfdeb372",
+      "b3f070e0f79cc3ca2a159d77c3fbbf9b", "26acd959e6025e1cc0df96a05af9c333" );
+    ( "campaign.c/parallelized",
+      "4798b6170b909eb5b2ee9acb063c1b1d", "f8c47ee438365cab345fe1dc1824df05",
+      "0003b6c175c55d2da4529795561bbe9a", "26acd959e6025e1cc0df96a05af9c333" );
+    ( "campaign.c/optimized",
+      "131d5c91c6a1b2c1361a5b674c9e07c5", "841cf90c5c342ddaf68fa787464dd008",
+      "f33647e83ece00f942217744b3d8535e", "c94ec49d7187cc3a2d9804ae2311a27b" );
+    ( "campaign.c/carte",
+      "eae39eac3910264ecee0e7f7338759e7", "84e020d62d1242bf58230b77ce2149af",
+      "d2c6b5cc07bdc79389b7bf4f7fb5be04", "5c85acb35e293fcc93a70396e7e8bc9c" );
+    ( "dct.c/baseline",
+      "81f8aa2bbcfe0c8116a30a7efdacada7", "35c4a8ad5614721084dffe0d87d8fe2b",
+      "71f1978235617bd808c372094b61653d", "d9730014077847c7284fc9d1d27c8ac3" );
+    ( "dct.c/unoptimized",
+      "70b6447c8d17aed92f5913c8dbdc7c79", "54d6a4069c852c9fa2c77a2238f10cc9",
+      "5c455ccd395350fb8564c73784fca70e", "dcc56cb84516826aea908504f0787bea" );
+    ( "dct.c/parallelized",
+      "01dcf2752b9dec67126dacf275688c0a", "0b4c774023e0729b43f13ce5f7478685",
+      "6f75c5c96ab2b08aae405af979ed832f", "dcc56cb84516826aea908504f0787bea" );
+    ( "dct.c/optimized",
+      "2987b753d7198e87a6e28ac2fc6e995c", "64a76cc1971d8ec2d6ea7ab7ff057bc8",
+      "cd4ab34938fc3d3fa18b7e87aeb16d18", "5437eb2dc22d1204c1df65c169954302" );
+    ( "dct.c/carte",
+      "69ca256d48f06c9f019115994342185b", "43b7d14efaffe9f5ce78338ee15e9313",
+      "671452023fef752ce9d8a0dbf2c94d0c", "59d7caeac0f80fd4da4a11ecfa6ac503" );
+    ( "deadlock.c/baseline",
+      "089d0dfec4f190145ba26bf1b3306375", "205370dd43f85d79745957eb03f286c6",
+      "71e33ddeb867142d0910e502585dc1da", "d9730014077847c7284fc9d1d27c8ac3" );
+    ( "deadlock.c/unoptimized",
+      "089d0dfec4f190145ba26bf1b3306375", "c36b3008be39e711aba03a916933eafe",
+      "71e33ddeb867142d0910e502585dc1da", "d9730014077847c7284fc9d1d27c8ac3" );
+    ( "deadlock.c/parallelized",
+      "089d0dfec4f190145ba26bf1b3306375", "a6bcf9173d8e49f99f0a73eb737e4602",
+      "71e33ddeb867142d0910e502585dc1da", "d9730014077847c7284fc9d1d27c8ac3" );
+    ( "deadlock.c/optimized",
+      "089d0dfec4f190145ba26bf1b3306375", "5f8191673e3816832d137c6642af55ec",
+      "71e33ddeb867142d0910e502585dc1da", "d9730014077847c7284fc9d1d27c8ac3" );
+    ( "deadlock.c/carte",
+      "089d0dfec4f190145ba26bf1b3306375", "3ac3f025271340e71a58fab111422cff",
+      "71e33ddeb867142d0910e502585dc1da", "8f82c0c2dea10255b686491088d98316" );
+    ( "fir.c/baseline",
+      "a51fdf182c2974fe07ba2b5d9fde4754", "5151440147f92e433d1b28fa1d8a7541",
+      "58ce2adde3e7d7495a868a552799960c", "d9730014077847c7284fc9d1d27c8ac3" );
+    ( "fir.c/unoptimized",
+      "b267b59b46dad16c01c33767094377d3", "875036f687926cdfeb31d9824ac4124c",
+      "7d93fc42ba98241e93f6cea51c868297", "e3f90e2aa38bb6fd7abd629d566cc3e9" );
+    ( "fir.c/parallelized",
+      "4fc33bbfddb6e13e92460ca4514ebcd6", "7b50bbe58873398b1fd7961dcf997137",
+      "816cca3b7b7b1df0c391d36c7450a045", "e3f90e2aa38bb6fd7abd629d566cc3e9" );
+    ( "fir.c/optimized",
+      "614c0b83c42303f7144dab0f76814dd9", "eea7243da6fbe1dd72688598ce75eb48",
+      "f9db453cc1cf0570a46e302e3f66e68e", "5ced469fcfbe51a675ef872341fdfae7" );
+    ( "fir.c/carte",
+      "11ce83c12755a00c84d33eeb1a9f5456", "da14662d397ed8352667d3351f7c2d47",
+      "6024058e569d3d1eacfb41617e45c495", "5bdcbe503f14ffb04b64b55eb5b606d9" );
+    ( "mine_demo.c/baseline",
+      "fa604ef86ae890801a9c0fd21f99817a", "3d65d6502d6a8c03f5b56c2236f6c6b6",
+      "8be33a4f7cebc0b6980d2604865ef4ca", "d9730014077847c7284fc9d1d27c8ac3" );
+    ( "mine_demo.c/unoptimized",
+      "303edce799d3bae6f98a7a851e193fc9", "ef3182d26285d763041343a638ea47b3",
+      "1c4a4a44e98f310f0ae77b4124739b6d", "1c557eb66ff27c5fb9b1ba1f4038721b" );
+    ( "mine_demo.c/parallelized",
+      "b907bd53b8dcd107b63cfb054f7dad1b", "c77b225c011b8c2ef1fe54b884f48a1d",
+      "df46230034069ea4f8bf2ecc14f72a57", "1c557eb66ff27c5fb9b1ba1f4038721b" );
+    ( "mine_demo.c/optimized",
+      "e711dfced3a3698c68fe79112bb60bf3", "697206d28e650db49acb401f6950ba28",
+      "f3ce3fa991983e193b0b12c465eb22ae", "03eed446404ee79f6561d1bb29136811" );
+    ( "mine_demo.c/carte",
+      "6274bdd7b214fa39c6216eb2bb975cda", "7a35c62e5b0b4ed6712fc06263b80ddd",
+      "76ee4c48a5e13486fd8444ce08389acf", "50ade0269218f277a29b01d801004780" );
+    ( "prove_demo.c/baseline",
+      "f5e5e0c38b2c1b1cfaf229f708eda6c5", "240af7d1024f746b03e0d28d6e2b7a2a",
+      "686de11bd494e013430c128894c17159", "d9730014077847c7284fc9d1d27c8ac3" );
+    ( "prove_demo.c/unoptimized",
+      "6f6d85887c41e434fd8aad018df203fc", "c84f030c3bd07cd55edc526156c19537",
+      "9d18e949892d6e6f91135d2959b92152", "17639723b08db4f242ae706d87d357a7" );
+    ( "prove_demo.c/parallelized",
+      "245cf61c39693b289bca7fdf4d3c1c53", "caec451a724b30da41ea4ebcda1b328a",
+      "99a636211fe41de4293647b581ae8676", "17639723b08db4f242ae706d87d357a7" );
+    ( "prove_demo.c/optimized",
+      "83ba2c60ef6882bfdf848b262805c839", "37c04d04fb4e2bef540de72cc2e3d410",
+      "414271ebd67dcce9e5119e731e94497a", "19189583385009259704d0cbfb2db7d1" );
+    ( "prove_demo.c/carte",
+      "41cccbc28e4febd9bdf0380540006dee", "d5709a2ba4b123be31f32d8899d370c4",
+      "06fb07c338f7aa15778e235f9b582b84", "c623c691a82fd84a03713607ed066632" );
+  ]
+
+let test_artifact_pins () =
+  let got =
+    List.concat_map
+      (fun f -> List.map (artifact_pin f) Core.Driver.all_strategies)
+      (Pin.example_files ())
+  in
+  let show l = String.concat "\n" l in
+  Alcotest.(check string) "compile artifacts"
+    (show
+       (List.map
+          (fun (g, t, j, v, n) -> Printf.sprintf "(%S, %S, %S, %S, %S);" g t j v n)
+          artifact_pins))
+    (show got)
+
 let () =
   Alcotest.run "serve"
     [
@@ -747,4 +886,5 @@ let () =
           Alcotest.test_case "out-of-range prove parameters refused" `Quick
             test_daemon_prove_params_refused;
         ] );
+      ("pins", [ Alcotest.test_case "compile artifacts" `Quick test_artifact_pins ]);
     ]

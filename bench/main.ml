@@ -77,7 +77,8 @@ let overhead_table ~title ~paper (orig : Driver.compiled) (opt : Driver.compiled
       po pa
       (pct (pa - po) total)
   in
-  let ao = orig.Driver.area and aa = opt.Driver.area in
+  let ro = Driver.rtl orig and ra = Driver.rtl opt in
+  let ao = ro.Driver.area and aa = ra.Driver.area in
   Printf.printf "  %-18s %9s %9s  %-16s %s\n" "" "Original" "Assert" "Overhead" "";
   row "Logic used" cap.Stratix.aluts (ao.Area.logic, aa.Area.logic) paper.p_logic;
   row "Comb. ALUT" cap.Stratix.aluts (ao.Area.aluts, aa.Area.aluts) paper.p_alut;
@@ -85,7 +86,7 @@ let overhead_table ~title ~paper (orig : Driver.compiled) (opt : Driver.compiled
   row "Block RAM bits" cap.Stratix.bram_bits (ao.Area.ram_bits, aa.Area.ram_bits) paper.p_ram;
   row "Block interconnect" cap.Stratix.interconnect (ao.Area.interconnect, aa.Area.interconnect)
     paper.p_ic;
-  let fo = orig.Driver.timing.Timing.fmax_mhz and fa = opt.Driver.timing.Timing.fmax_mhz in
+  let fo = ro.Driver.timing.Timing.fmax_mhz and fa = ra.Driver.timing.Timing.fmax_mhz in
   let po, pa = paper.p_fmax in
   Printf.printf "  %-18s %9.1f %9.1f  %+6.1f (%+.2f%%)   [paper: %.1f -> %.1f, %+.2f%%]\n"
     "Frequency (MHz)" fo fa (fa -. fo)
@@ -102,11 +103,12 @@ let table1 () =
   (* Section 5.2 also compares against unoptimized assertions: the
      optimized checkers move the comparisons out of the nested loop *)
   let unopt = Driver.compile ~strategy:Driver.unoptimized prog in
+  let aluts c = (Driver.rtl c).Driver.area.Area.aluts in
   Printf.printf
     "  (unoptimized assertions: %+d ALUTs and %d states vs %+d ALUTs and %d states optimized)\n"
-    (unopt.Driver.area.Area.aluts - orig.Driver.area.Area.aluts)
+    (aluts unopt - aluts orig)
     (Hls.Fsmd.num_states (List.hd unopt.Driver.fsmds))
-    (opt.Driver.area.Area.aluts - orig.Driver.area.Area.aluts)
+    (aluts opt - aluts orig)
     (Hls.Fsmd.num_states (List.hd opt.Driver.fsmds));
   (* prove the design still decrypts in circuit *)
   let text = "Table one validation run." in
@@ -226,7 +228,7 @@ let figure4 () =
   Printf.printf "  %4s %10s %12s %12s\n" "N" "original" "unoptimized" "optimized";
   List.iter
     (fun n ->
-      let f s = (loopback_compile n s).Driver.timing.Timing.fmax_mhz in
+      let f s = (Driver.rtl (loopback_compile n s)).Driver.timing.Timing.fmax_mhz in
       Printf.printf "  %4d %10.1f %12.1f %12.1f\n" n (f Driver.baseline)
         (f Driver.unoptimized)
         (f { Driver.unoptimized with Driver.share = `Shared 32 }))
@@ -239,7 +241,7 @@ let figure5 () =
   Printf.printf "  %4s %12s %12s %9s\n" "N" "unoptimized" "optimized" "ratio";
   List.iter
     (fun n ->
-      let aluts s = (loopback_compile n s).Driver.area.Area.aluts in
+      let aluts s = (Driver.rtl (loopback_compile n s)).Driver.area.Area.aluts in
       let base = aluts Driver.baseline in
       let u = pct (aluts Driver.unoptimized - base) Stratix.ep2s180.Stratix.aluts in
       let o =
@@ -323,15 +325,13 @@ let ablation_sharing_width () =
   section "Ablation: failure-channel sharing width (128-process loopback)";
   Printf.printf "  %6s %10s %14s\n" "width" "streams" "ALUT overhead";
   let prog = elab ~file:"loopback.c" (Apps.Loopback_src.source ~n:128 ()) in
-  let base = (Driver.compile ~strategy:Driver.baseline prog).Driver.area.Area.aluts in
+  let area strategy = (Driver.rtl (Driver.compile ~strategy prog)).Driver.area in
+  let base = (area Driver.baseline).Area.aluts in
   List.iter
     (fun bits ->
-      let c =
-        Driver.compile ~strategy:{ Driver.unoptimized with Driver.share = `Shared bits } prog
-      in
-      Printf.printf "  %6d %10d %13.2f%%\n" bits
-        (c.Driver.area.Area.streams)
-        (pct (c.Driver.area.Area.aluts - base) Stratix.ep2s180.Stratix.aluts))
+      let a = area { Driver.unoptimized with Driver.share = `Shared bits } in
+      Printf.printf "  %6d %10d %13.2f%%\n" bits a.Area.streams
+        (pct (a.Area.aluts - base) Stratix.ep2s180.Stratix.aluts))
     [ 1; 2; 4; 8; 16; 32; 63 ]
 
 let ablation_replication () =
@@ -344,7 +344,7 @@ let ablation_replication () =
   in
   let area strategy =
     let c = Driver.compile ~strategy (elab ~file:"kernel.c" Apps.Micro_src.array_pipelined) in
-    c.Driver.area.Area.ram_bits
+    (Driver.rtl c).Driver.area.Area.ram_bits
   in
   let l1, r1 = stats { t4_strategy with Driver.replicate = false } in
   let l2, r2 = stats t4_strategy in
@@ -406,16 +406,17 @@ let ablation_checker_latency () =
 let ablation_transport () =
   section "Ablation: failure transport (Impulse-C streams vs Carte-C DMA, Section 4.3)";
   let prog = elab ~file:"loopback.c" (Apps.Loopback_src.source ~n:32 ()) in
-  let base = Driver.compile ~strategy:Driver.baseline prog in
+  let base = Driver.rtl (Driver.compile ~strategy:Driver.baseline prog) in
   Printf.printf "  %-28s %8s %14s %10s\n" "transport" "channels" "ALUT overhead" "fmax";
   List.iter
     (fun (name, strategy) ->
       let c = Driver.compile ~strategy prog in
+      let r = Driver.rtl c in
       Printf.printf "  %-28s %8d %13.2f%% %9.1f\n" name
         (List.length c.Driver.plan.Core.Share.streams)
-        (pct (c.Driver.area.Area.aluts - base.Driver.area.Area.aluts)
+        (pct (r.Driver.area.Area.aluts - base.Driver.area.Area.aluts)
            Stratix.ep2s180.Stratix.aluts)
-        c.Driver.timing.Timing.fmax_mhz)
+        r.Driver.timing.Timing.fmax_mhz)
     [
       ("stream per process", Driver.parallelized);
       ("shared 32-bit streams", Driver.optimized);
@@ -711,14 +712,15 @@ let check_bench () =
               | Analysis.Absint.Unknown -> (p, v, u + 1))
             (0, 0, 0) r.Analysis.Absint.verdicts
         in
-        let base = Driver.compile ~strategy prog in
-        let pruned = Driver.compile ~strategy ~prune_proved:true prog in
+        let base = Driver.rtl (Driver.compile ~strategy prog) in
+        let pruned_c = Driver.compile ~strategy ~prune_proved:true prog in
+        let pruned = Driver.rtl pruned_c in
         let alut_d = base.Driver.area.Area.aluts - pruned.Driver.area.Area.aluts in
         let reg_d = base.Driver.area.Area.registers - pruned.Driver.area.Area.registers in
         let fmax_d =
           pruned.Driver.timing.Timing.fmax_mhz -. base.Driver.timing.Timing.fmax_mhz
         in
-        let ps = pruned.Driver.pruned in
+        let ps = pruned_c.Driver.pruned in
         Printf.printf "  %-8s %9d %7d %9d %8d %7d %+7d %+7d %+11.1f %13s\n" name
           (p + v + u) p v u ps.Driver.absint_pruned alut_d reg_d fmax_d
           (Analysis.Live.class_name live);
@@ -906,9 +908,9 @@ let prove_bench () =
   in
   let rep, _ = Core.Verify.prove ~depth ~induction demo in
   let keys = Core.Verify.induction_proved_keys rep in
-  let base = Driver.compile ~strategy:Driver.parallelized demo in
+  let base = Driver.rtl (Driver.compile ~strategy:Driver.parallelized demo) in
   let pruned =
-    Driver.compile ~strategy:Driver.parallelized ~induction_proved:keys demo
+    Driver.rtl (Driver.compile ~strategy:Driver.parallelized ~induction_proved:keys demo)
   in
   let alut_d = base.Driver.area.Area.aluts - pruned.Driver.area.Area.aluts in
   let reg_d =

@@ -107,7 +107,7 @@ let instrument_cmd =
     let c = Cli.load sel file in
     print_endline (Front.Pretty.program_to_string c.Core.Driver.instrumented);
     print_endline "/* --- generated notification function --- */";
-    print_endline c.Core.Driver.notification_source;
+    print_endline (Core.Driver.notification_source c);
     0
   in
   Cmd.v

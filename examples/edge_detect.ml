@@ -18,12 +18,13 @@ let () =
   let original = Core.Driver.compile ~strategy:Core.Driver.baseline program in
   let compiled = Core.Driver.compile ~strategy:Core.Driver.parallelized program in
 
+  let rtl = Core.Driver.rtl compiled and original_rtl = Core.Driver.rtl original in
   Printf.printf "image: %dx%d, 16-bit grayscale\n" w h;
   Printf.printf "area: %d ALUTs (+%d for assertions), fmax %.1f MHz (original %.1f)\n"
-    compiled.Core.Driver.area.Rtl.Area.aluts
-    (compiled.Core.Driver.area.Rtl.Area.aluts - original.Core.Driver.area.Rtl.Area.aluts)
-    compiled.Core.Driver.timing.Rtl.Timing.fmax_mhz
-    original.Core.Driver.timing.Rtl.Timing.fmax_mhz;
+    rtl.Core.Driver.area.Rtl.Area.aluts
+    (rtl.Core.Driver.area.Rtl.Area.aluts - original_rtl.Core.Driver.area.Rtl.Area.aluts)
+    rtl.Core.Driver.timing.Rtl.Timing.fmax_mhz
+    original_rtl.Core.Driver.timing.Rtl.Timing.fmax_mhz;
 
   let options =
     {

@@ -27,9 +27,10 @@ let () =
   let unopt = Core.Driver.compile ~strategy:Core.Driver.unoptimized program in
   let opt = Core.Driver.compile ~strategy:Core.Driver.optimized program in
   let report name (c : Core.Driver.compiled) =
+    let r = Core.Driver.rtl c in
     Printf.printf "%-12s ALUTs %5d  regs %5d  RAM bits %6d  fmax %6.1f MHz\n" name
-      c.Core.Driver.area.Rtl.Area.aluts c.Core.Driver.area.Rtl.Area.registers
-      c.Core.Driver.area.Rtl.Area.ram_bits c.Core.Driver.timing.Rtl.Timing.fmax_mhz
+      r.Core.Driver.area.Rtl.Area.aluts r.Core.Driver.area.Rtl.Area.registers
+      r.Core.Driver.area.Rtl.Area.ram_bits r.Core.Driver.timing.Rtl.Timing.fmax_mhz
   in
   print_endline "=== area / fmax ===";
   report "original" original;
@@ -77,4 +78,4 @@ let () =
 
   (* 5. Generated artifacts. *)
   print_endline "\n=== generated notification function (C) ===";
-  print_endline opt.Core.Driver.notification_source
+  print_endline (Core.Driver.notification_source opt)

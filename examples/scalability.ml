@@ -18,10 +18,10 @@ let () =
           (Apps.Loopback_src.source ~n ())
       in
       let open Core.Driver in
-      let orig = compile ~strategy:baseline program in
-      let unopt = compile ~strategy:unoptimized program in
+      let orig = rtl (compile ~strategy:baseline program) in
+      let unopt = rtl (compile ~strategy:unoptimized program) in
       let shared =
-        compile ~strategy:{ unoptimized with share = `Shared 32 } program
+        rtl (compile ~strategy:{ unoptimized with share = `Shared 32 } program)
       in
       let ovh c =
         100.0

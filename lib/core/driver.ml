@@ -3,10 +3,11 @@
     Mirrors the paper's framework (Section 4): take an InCA-C program
     with ANSI-C assertions, pick an assertion synthesis strategy, and
     produce everything downstream — instrumented HLL source, IR, FSMDs,
-    checker processes, a structural netlist with EP2S180 area and fmax
-    estimates, the generated notification function, and a ready-to-run
-    cycle-accurate simulation.  The VHDL text is not part of a compile:
-    {!vhdl} renders it on demand from the compiled FSMDs. *)
+    checker processes and a ready-to-run cycle-accurate simulation.  A
+    compile holds only what the simulator reads: the structural netlist
+    with its EP2S180 area and fmax estimates ({!rtl}), the generated
+    notification function ({!notification_source}) and the VHDL text
+    ({!vhdl}) render on demand from the compiled FSMDs. *)
 
 open Front.Ast
 module Ir = Mir.Ir
@@ -95,10 +96,6 @@ type compiled = {
   ir : Ir.program_ir;
   fsmds : Hls.Fsmd.t list;
   checkers : Checker.t list;
-  netlist : Rtl.Netlist.t;
-  area : Rtl.Area.usage;
-  timing : Rtl.Timing.estimate;
-  notification_source : string;
   pruned : prune_stats;
 }
 
@@ -118,7 +115,6 @@ type front = {
   f_plan : Share.plan;
   f_ir : Ir.program_ir;  (* lowered + optimized, before fault injection *)
   f_checkers : Checker.t list;
-  f_notification_source : string;
   f_pruned : prune_stats;
 }
 
@@ -183,15 +179,39 @@ let prune_statically_proved (prog : program) : program * int =
   in
   prune_asserts prog proved
 
-(** Run the fault-independent compile prefix: assertion synthesis,
-    lowering, IR optimization, and checker synthesis.
-    [induction_proved] names assertions (by proc, location and source
-    text) that BMC k-induction proved can never fire; they are pruned
-    like Absint-proved ones, after the Absint pass so an assertion both
-    verifiers prove is accounted to Absint. *)
-let front ?(strategy = optimized) ?(prune_proved = false)
-    ?(induction_proved : (string * Loc.t * string) list = []) (prog : program) :
-    front =
+(* Lowering reads the process, its mirrors, the port count and the
+   program's streams and externs, and nothing else: this is the key under
+   which {!compile_all} shares one lowered, optimized process between
+   strategies. *)
+type lower_key = {
+  lk_proc : proc;
+  lk_mirrors : (string * string) list;
+  lk_mem_ports : int;
+  lk_streams : stream_decl list;
+  lk_externs : extern_decl list;
+}
+
+let lower (k : lower_key) : Ir.proc_ir =
+  Mir.Opt.optimize
+    (Mir.Lower.lower_proc ~mirrors:k.lk_mirrors ~mem_ports:k.lk_mem_ports
+       { streams = k.lk_streams; externs = k.lk_externs; procs = [] }
+       k.lk_proc)
+
+(* [f] memoized on structurally equal arguments.  The table lives as long
+   as the returned closure, so {!compile_all} shares results within one
+   call and nothing outlives it. *)
+let memo f =
+  let seen = ref [] in
+  fun key ->
+    match List.find_opt (fun (k, _) -> compare k key = 0) !seen with
+    | Some (_, v) -> v
+    | None ->
+        let v = f key in
+        seen := (key, v) :: !seen;
+        v
+
+(* {!front} with the process lowering supplied by the caller. *)
+let front_with ~lower ~strategy ~prune_proved ~induction_proved (prog : program) : front =
   let prog, nabs =
     if prune_proved then prune_statically_proved prog else (prog, 0)
   in
@@ -223,12 +243,26 @@ let front ?(strategy = optimized) ?(prune_proved = false)
           specs,
           mirrors )
   in
+  (* Under [Optimized] the application processes only tap; the failure
+     streams belong to the checkers, so the application is lowered
+     against the source program's streams and its key does not depend on
+     the share plan. *)
+  let app_streams =
+    match strategy.mode with
+    | Optimized -> prog.streams
+    | Baseline | Unoptimized -> instrumented.streams
+  in
   let ir_procs =
     List.map
       (fun p ->
-        let mirrors = try List.assoc p.pname mirrors with Not_found -> [] in
-        Mir.Opt.optimize
-          (Mir.Lower.lower_proc ~mirrors ~mem_ports:strategy.mem_ports instrumented p))
+        lower
+          {
+            lk_proc = p;
+            lk_mirrors = (try List.assoc p.pname mirrors with Not_found -> []);
+            lk_mem_ports = strategy.mem_ports;
+            lk_streams = app_streams;
+            lk_externs = instrumented.externs;
+          })
       (hw_procs instrumented)
   in
   let ir =
@@ -242,14 +276,6 @@ let front ?(strategy = optimized) ?(prune_proved = false)
       specs
   in
   let table = List.map (fun (a : Assertion.info) -> (a.Assertion.id, a)) asserts in
-  let notification_source =
-    Notify.c_source
-      ~dma:(strategy.share = `Dma)
-      ~route:plan.Share.route
-      ~table
-      ~streams:(List.map (fun (s : stream_decl) -> s.sname) plan.Share.streams)
-      ~nabort:strategy.nabort
-  in
   {
     f_strategy = strategy;
     f_source = prog;
@@ -259,30 +285,61 @@ let front ?(strategy = optimized) ?(prune_proved = false)
     f_plan = plan;
     f_ir = ir;
     f_checkers = checkers;
-    f_notification_source = notification_source;
     f_pruned = pruned;
   }
 
-(** Finish a compile from a (possibly cached, possibly shared) [front]:
-    inject [faults] into the lowered IR, then schedule, generate RTL and
-    estimate area/timing.  Never mutates the front, so one front value
-    is safely shared by concurrent mutant compiles across domains. *)
-let finish ?(faults : Faults.Fault.t list = []) (f : front) : compiled =
-  let strategy = f.f_strategy in
-  let instrumented = f.f_instrumented in
-  let plan = f.f_plan in
-  let checkers = f.f_checkers in
+(** Run the fault-independent compile prefix: assertion synthesis,
+    lowering, IR optimization, and checker synthesis.
+    [induction_proved] names assertions (by proc, location and source
+    text) that BMC k-induction proved can never fire; they are pruned
+    like Absint-proved ones, after the Absint pass so an assertion both
+    verifiers prove is accounted to Absint. *)
+let front ?(strategy = optimized) ?(prune_proved = false)
+    ?(induction_proved : (string * Loc.t * string) list = []) (prog : program) :
+    front =
+  front_with ~lower ~strategy ~prune_proved ~induction_proved prog
+
+(* {!finish} with the process scheduler supplied by the caller. *)
+let finish_with ~schedule ?(faults : Faults.Fault.t list = []) (f : front) : compiled =
   let ir = Faults.Fault.apply_all faults f.f_ir in
-  let fsmds = List.map Hls.Schedule.compile_proc ir.Ir.procs in
+  {
+    strategy = f.f_strategy;
+    source = f.f_source;
+    instrumented = f.f_instrumented;
+    asserts = f.f_asserts;
+    table = f.f_table;
+    plan = f.f_plan;
+    ir;
+    fsmds = List.map schedule ir.Ir.procs;
+    checkers = f.f_checkers;
+    pruned = f.f_pruned;
+  }
+
+(** Finish a compile from a (possibly cached, possibly shared) [front]:
+    inject [faults] into the lowered IR, then schedule.  Never mutates the
+    front, so one front value is safely shared by concurrent mutant
+    compiles across domains. *)
+let finish ?faults (f : front) : compiled =
+  finish_with ~schedule:Hls.Schedule.compile_proc ?faults f
+
+type rtl = {
+  netlist : Rtl.Netlist.t;
+  area : Rtl.Area.usage;
+  timing : Rtl.Timing.estimate;
+}
+
+(** The design's structural netlist with its area and timing estimates,
+    built on each call from the compiled FSMDs, checkers and collectors. *)
+let rtl (c : compiled) : rtl =
   let checker_modules =
-    List.map (fun (c : Checker.t) -> Rtl.Gen.of_fsmd c.Checker.fsmd) checkers
+    List.map (fun (k : Checker.t) -> Rtl.Gen.of_fsmd k.Checker.fsmd) c.checkers
   in
   let top_name =
-    match hw_procs f.f_source with p :: _ -> p.pname | [] -> "design"
+    match hw_procs c.source with p :: _ -> p.pname | [] -> "design"
   in
   let netlist =
-    Rtl.Gen.design ~top_name fsmds instrumented.streams
-      ~extra_modules:(checker_modules @ plan.Share.collector_modules)
+    Rtl.Gen.design ~top_name c.fsmds c.instrumented.streams
+      ~extra_modules:(checker_modules @ c.plan.Share.collector_modules)
       ()
   in
   let area = Rtl.Area.of_design netlist in
@@ -290,25 +347,18 @@ let finish ?(faults : Faults.Fault.t list = []) (f : front) : compiled =
     List.fold_left
       (fun acc (fd : Hls.Fsmd.t) -> Stdlib.max acc fd.Hls.Fsmd.max_chain_ns)
       0.0
-      (fsmds @ List.map (fun (c : Checker.t) -> c.Checker.fsmd) checkers)
+      (c.fsmds @ List.map (fun (k : Checker.t) -> k.Checker.fsmd) c.checkers)
   in
-  let timing = Rtl.Timing.estimate ~name:top_name ~max_chain_ns:max_chain area in
-  {
-    strategy;
-    source = f.f_source;
-    instrumented;
-    asserts = f.f_asserts;
-    table = f.f_table;
-    plan;
-    ir;
-    fsmds;
-    checkers;
-    netlist;
-    area;
-    timing;
-    notification_source = f.f_notification_source;
-    pruned = f.f_pruned;
-  }
+  { netlist; area; timing = Rtl.Timing.estimate ~name:top_name ~max_chain_ns:max_chain area }
+
+(** The generated notification function (Figure 2), rendered on each call. *)
+let notification_source (c : compiled) : string =
+  Notify.c_source
+    ~dma:(c.strategy.share = `Dma)
+    ~route:c.plan.Share.route
+    ~table:c.table
+    ~streams:(List.map (fun (s : stream_decl) -> s.sname) c.plan.Share.streams)
+    ~nabort:c.strategy.nabort
 
 (** The design's VHDL text: the application FSMDs followed by the checker
     FSMDs, over the instrumented program's streams.  Rendered on each call;
@@ -318,11 +368,26 @@ let vhdl (c : compiled) : string =
     (c.fsmds @ List.map (fun (k : Checker.t) -> k.Checker.fsmd) c.checkers)
     c.instrumented.streams
 
+(* Compile [prog] under each named strategy, lowering each distinct
+   {!lower_key} and scheduling each distinct process IR once. *)
+let compile_shared ?(prune_proved = false) ?(induction_proved = []) ?faults strategies
+    (prog : program) : (string * compiled) list =
+  let lower = memo lower and schedule = memo Hls.Schedule.compile_proc in
+  List.map
+    (fun (name, strategy) ->
+      (name, finish_with ~schedule ?faults (front_with ~lower ~strategy ~prune_proved ~induction_proved prog)))
+    strategies
+
+(** Compile [prog] under every named strategy, sharing lowered and
+    scheduled processes between them. *)
+let compile_all strategies (prog : program) : (string * compiled) list =
+  compile_shared strategies prog
+
 (** Compile an elaborated program under [strategy], optionally injecting
     hardware-translation [faults] (Section 5.1). *)
-let compile ?strategy ?prune_proved ?induction_proved ?faults (prog : program) :
+let compile ?(strategy = optimized) ?prune_proved ?induction_proved ?faults (prog : program) :
     compiled =
-  finish ?faults (front ?strategy ?prune_proved ?induction_proved prog)
+  snd (List.hd (compile_shared ?prune_proved ?induction_proved ?faults [ ("", strategy) ] prog))
 
 (** Parse, type-check and compile from source text. *)
 let compile_source ?strategy ?prune_proved ?induction_proved ?faults ?file src =

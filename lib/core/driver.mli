@@ -3,10 +3,11 @@
     Mirrors the paper's framework (Section 4): take an InCA-C program
     with ANSI-C assertions, pick an assertion synthesis strategy, and
     produce everything downstream — instrumented HLL source, IR, FSMDs,
-    checker processes, a structural netlist with EP2S180 area and fmax
-    estimates, the generated notification function, and a ready-to-run
-    cycle-accurate simulation.  The VHDL text is not part of a compile:
-    {!vhdl} renders it on demand from the compiled FSMDs. *)
+    checker processes and a ready-to-run cycle-accurate simulation.  A
+    compile holds only what the simulator reads: the structural netlist
+    with its EP2S180 area and fmax estimates ({!rtl}), the generated
+    notification function ({!notification_source}) and the VHDL text
+    ({!vhdl}) render on demand from the compiled FSMDs. *)
 
 module Ir = Mir.Ir
 
@@ -72,10 +73,6 @@ type compiled = {
   ir : Ir.program_ir;
   fsmds : Hls.Fsmd.t list;
   checkers : Checker.t list;
-  netlist : Rtl.Netlist.t;
-  area : Rtl.Area.usage;
-  timing : Rtl.Timing.estimate;
-  notification_source : string;      (** generated C (Figure 2) *)
   pruned : prune_stats;
 }
 
@@ -94,7 +91,6 @@ type front = {
   f_plan : Share.plan;
   f_ir : Ir.program_ir;  (** lowered + optimized, before fault injection *)
   f_checkers : Checker.t list;
-  f_notification_source : string;
   f_pruned : prune_stats;
 }
 
@@ -120,19 +116,49 @@ val front :
   front
 
 (** Finish a compile from a (possibly cached, possibly shared) front:
-    inject [faults] into the lowered IR, then schedule, generate RTL and
-    estimate area/timing.  Never mutates the front, so one front value
-    is safely shared by concurrent mutant compiles across domains. *)
+    inject [faults] into the lowered IR, then schedule.  Never mutates the
+    front, so one front value is safely shared by concurrent mutant
+    compiles across domains. *)
 val finish : ?faults:Faults.Fault.t list -> front -> compiled
 
-(** The design's VHDL: the application FSMDs, then the checker FSMDs,
-    over the instrumented program's streams.  Rendered on every call, so a
-    simulation-only compile never pays for the text.  It is a function
-    rather than a [Lazy.t] field because a compiled value is shared across
+(** {2 Rendered on demand}
+
+    What no simulation reads is not part of a compile: each function
+    below renders from the compiled FSMDs on every call, so a
+    simulation-only compile never pays for it.  They are functions rather
+    than [Lazy.t] fields because a compiled value is shared across
     {!Exec.Pool} domains, and forcing one lazy from two domains at once
-    raises under OCaml 5; a function also keeps [compiled] free of
-    suspended closures. *)
+    raises under OCaml 5.  A caller that reads several of the {!rtl}
+    values builds it once. *)
+
+type rtl = {
+  netlist : Rtl.Netlist.t;
+  area : Rtl.Area.usage;
+  timing : Rtl.Timing.estimate;
+}
+
+(** The structural netlist of the application, checker and collector
+    modules, with its EP2S180 area and fmax estimates. *)
+val rtl : compiled -> rtl
+
+(** The generated notification function (Figure 2). *)
+val notification_source : compiled -> string
+
+(** The design's VHDL: the application FSMDs, then the checker FSMDs,
+    over the instrumented program's streams. *)
 val vhdl : compiled -> string
+
+(** {2 Compiling} *)
+
+(** Compile an elaborated program under each named strategy, in order;
+    equal to [compile ~strategy] of each.  Within the call, each distinct
+    application process is lowered and optimized once — the key is the
+    instrumented process, its mirrors, [mem_ports] and the program's
+    streams and externs, and under [Optimized] the source program's
+    streams, since only the checkers read the failure streams — and each
+    distinct process IR is scheduled once.  Results sharing a process
+    share its FSMD value. *)
+val compile_all : (string * strategy) list -> Front.Ast.program -> (string * compiled) list
 
 (** Compile an elaborated program, optionally injecting
     hardware-translation [faults] (Section 5.1).

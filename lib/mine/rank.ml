@@ -154,7 +154,7 @@ let mine ?(config = default_config) ?progress ~name ?options (prog : Front.Ast.p
   in
   let base_report = sweep prog name in
   let base_set = detected_set base_report in
-  let base_c = Exec.Cache.compile ~strategy:(snd config.strategy) prog in
+  let base_rtl = Driver.rtl (Exec.Cache.compile ~strategy:(snd config.strategy) prog) in
   let scored =
     List.filter_map
       (fun (c : Infer.candidate) ->
@@ -163,10 +163,10 @@ let mine ?(config = default_config) ?progress ~name ?options (prog : Front.Ast.p
         | Some (src, p') -> (
             match
               let rep = sweep p' (name ^ "+" ^ string_of_int c.Infer.uid) in
-              let comp = Exec.Cache.compile ~strategy:(snd config.strategy) p' in
-              (rep, comp)
+              let rtl = Driver.rtl (Exec.Cache.compile ~strategy:(snd config.strategy) p') in
+              (rep, rtl)
             with
-            | rep, comp ->
+            | rep, rtl ->
                 let det = detected_set rep in
                 let newly = List.filter (fun d -> not (List.mem d base_set)) det in
                 let s =
@@ -177,14 +177,14 @@ let mine ?(config = default_config) ?progress ~name ?options (prog : Front.Ast.p
                     newly_detected = newly;
                     mutants = rep.Campaign.site_count;
                     alut_delta =
-                      comp.Driver.area.Rtl.Area.aluts
-                      - base_c.Driver.area.Rtl.Area.aluts;
+                      rtl.Driver.area.Rtl.Area.aluts
+                      - base_rtl.Driver.area.Rtl.Area.aluts;
                     reg_delta =
-                      comp.Driver.area.Rtl.Area.registers
-                      - base_c.Driver.area.Rtl.Area.registers;
+                      rtl.Driver.area.Rtl.Area.registers
+                      - base_rtl.Driver.area.Rtl.Area.registers;
                     fmax_delta_mhz =
-                      comp.Driver.timing.Rtl.Timing.fmax_mhz
-                      -. base_c.Driver.timing.Rtl.Timing.fmax_mhz;
+                      rtl.Driver.timing.Rtl.Timing.fmax_mhz
+                      -. base_rtl.Driver.timing.Rtl.Timing.fmax_mhz;
                     source = src;
                   }
                 in

@@ -69,11 +69,11 @@ let loc_message (loc : Front.Loc.t) m =
 
 (* The area/timing report, verbatim from the CLI's former printer so
    [inca compile] output is unchanged. *)
-let compile_text (c : Driver.compiled) =
+let compile_text (c : Driver.compiled) (r : Driver.rtl) =
   let b = Buffer.create 1024 in
   let p fmt = Printf.bprintf b fmt in
-  let a = c.Driver.area in
-  let t = c.Driver.timing in
+  let a = r.Driver.area in
+  let t = r.Driver.timing in
   p "assertions: %d\n" (List.length c.Driver.asserts);
   List.iter
     (fun (id, (info : Core.Assertion.info)) ->
@@ -111,9 +111,9 @@ let compile_text (c : Driver.compiled) =
     c.Driver.fsmds;
   Buffer.contents b
 
-let compile_json ~file ~strategy (c : Driver.compiled) : Json.t =
-  let a = c.Driver.area in
-  let t = c.Driver.timing in
+let compile_json ~file ~strategy (c : Driver.compiled) (r : Driver.rtl) : Json.t =
+  let a = r.Driver.area in
+  let t = r.Driver.timing in
   Json.Obj
     [
       ("file", Json.Str file);
@@ -189,18 +189,19 @@ let do_compile (c : Job.compile_params) : outcome =
   let comp =
     Driver.compile ~strategy ~prune_proved:c.c_prune_proved ~induction_proved prog
   in
-  let payload = compile_json ~file ~strategy:sname comp in
+  let rtl = Driver.rtl comp in
+  let payload = compile_json ~file ~strategy:sname comp rtl in
   match Driver.static_diags comp with
   | [] ->
       {
         sc_report = Report.make ~kind:"compile" payload;
-        sc_text = compile_text comp;
+        sc_text = compile_text comp rtl;
         sc_result = Some (R_compile comp);
       }
   | diags ->
       {
         sc_report = Report.fail ~kind:"compile" ~payload "scheduler invariant violations";
-        sc_text = compile_text comp ^ diag_lines diags;
+        sc_text = compile_text comp rtl ^ diag_lines diags;
         sc_result = Some (R_compile comp);
       }
 
@@ -370,12 +371,12 @@ let do_prove ?progress ?default_jobs (p : Job.prove_params) : outcome =
                   Analysis.Diag.order
                     (List.filter_map Analysis.Verdict.diag_of results @ List.rev extra)
                 in
-                let finished = Driver.finish f in
-                let summary = Rtl.Netlist.summarize finished.Driver.netlist in
+                let netlist = (Driver.rtl (Driver.finish f)).Driver.netlist in
+                let summary = Rtl.Netlist.summarize netlist in
                 let text =
                   Printf.sprintf "%s: %d modules, %d primitives, %d sequential state bits\n"
                     file summary.Rtl.Netlist.n_modules summary.Rtl.Netlist.n_prims
-                    (Rtl.Netlist.state_bits finished.Driver.netlist)
+                    (Rtl.Netlist.state_bits netlist)
                   ^ Analysis.Verdict.render ~file rep
                   ^ diag_lines diags
                 in

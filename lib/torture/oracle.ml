@@ -70,13 +70,13 @@ let proved_ids (analysis : Analysis.Absint.result) =
          if v.vclass = Analysis.Absint.Proved then [ i ] else [])
        analysis.verdicts)
 
-(* One strategy's circuit, as {!Campaign.evaluate} runs it.  A single
-   fault with a padded twin takes the campaign's fork-point path;
-   [from_reset], several faults or no twin compile the faults into a
-   separate design simulated from cycle zero.  The fault-free baseline
-   leg is the compile already made for the golden run. *)
-let compile_mutant ~c_base ~from_reset ~faults ~prog strategy =
-  if faults = [] && strategy = Driver.baseline then Campaign.Unpadded c_base
+(* One strategy's circuit, as {!Campaign.evaluate} runs it.  A
+   fault-free leg is its [clean] compile.  A single fault with a padded
+   twin takes the campaign's fork-point path; [from_reset], several
+   faults or no twin compile the faults into a separate design simulated
+   from cycle zero. *)
+let compile_mutant ~clean ~from_reset ~faults ~prog strategy =
+  if faults = [] then Campaign.Unpadded (clean strategy)
   else
     let front = Driver.front ~strategy prog in
     if from_reset then Campaign.Unpadded (Driver.finish ~faults front)
@@ -105,7 +105,7 @@ let armed_options (options : Driver.sim_options) (base : Driver.sim_result) =
    the circuit outcome must not contradict it — a proved deadlock-free
    design that hangs (or a certain-deadlock design that finishes) is a
    {!Liveness_unsound} finding against the analyzer itself. *)
-let check_strategy ~options ~c_base ~sw ~golden_drained ~proved ~live ~from_reset
+let check_strategy ~options ~clean ~sw ~golden_drained ~proved ~live ~from_reset
     ~faults ~prog (sname, strategy) =
   let live_unsound mk =
     if faults <> [] then []
@@ -131,7 +131,7 @@ let check_strategy ~options ~c_base ~sw ~golden_drained ~proved ~live ~from_rese
             ^ ") but the circuit finished")
       | _ -> None)
   in
-  match compile_mutant ~c_base ~from_reset ~faults ~prog strategy with
+  match compile_mutant ~clean ~from_reset ~faults ~prog strategy with
   | exception e ->
       ( [ { dclass = Crash; strategy = sname;
             detail = exn_detail "compile" e } ],
@@ -323,10 +323,28 @@ let check ?(strategies = default_strategies) ?(faults = []) ?(from_reset = false
             bmc_cross_check ~depth ~proved ~absint prog
         | _ -> []
       in
-      (* Faults never reach the golden software run, so the compile
-         backing it stays unfaulted; it doubles as the fault-free
-         baseline leg. *)
-      match Driver.compile ~strategy:Driver.baseline prog with
+      (* The fault-free compiles: the baseline behind the golden software
+         run (faults never reach it) and, on a clean check, every leg, all
+         from one shared compile.  Should that raise, each is compiled on
+         its own, so the exception lands on its own strategy. *)
+      let shared =
+        if faults <> [] then []
+        else
+          match
+            Driver.compile_all
+              (("baseline", Driver.baseline)
+              :: List.filter (fun (_, s) -> s <> Driver.baseline) strategies)
+              prog
+          with
+          | cs -> List.map (fun (_, (c : Driver.compiled)) -> (c.Driver.strategy, c)) cs
+          | exception _ -> []
+      in
+      let clean strategy =
+        match List.assoc_opt strategy shared with
+        | Some c -> c
+        | None -> Driver.compile ~strategy prog
+      in
+      match clean Driver.baseline with
       | exception e ->
           {
             source;
@@ -408,7 +426,7 @@ let check ?(strategies = default_strategies) ?(faults = []) ?(from_reset = false
               List.map
                 (fun s ->
                   ( s,
-                    check_strategy ~options ~c_base ~sw ~golden_drained ~proved
+                    check_strategy ~options ~clean ~sw ~golden_drained ~proved
                       ~live ~from_reset ~faults ~prog s ))
                 strategies
             in

@@ -157,8 +157,8 @@ let des_circuit_random_text =
 
 let test_des_table1_overheads_small () =
   let prog = Lazy.force des_program in
-  let orig = Driver.compile ~strategy:Driver.baseline prog in
-  let opt = Driver.compile ~strategy:Driver.parallelized prog in
+  let orig = Driver.rtl (Driver.compile ~strategy:Driver.baseline prog) in
+  let opt = Driver.rtl (Driver.compile ~strategy:Driver.parallelized prog) in
   let cap = Device.Stratix.ep2s180 in
   let alut_pct =
     100.0
@@ -428,7 +428,7 @@ let test_loopback_stream_counts () =
   let n = 64 in
   let prog = elab ~file:"loopback.c" (Apps.Loopback_src.source ~n ()) in
   let count strategy =
-    (Driver.compile ~strategy prog).Driver.area.Rtl.Area.streams
+    (Driver.rtl (Driver.compile ~strategy prog)).Driver.area.Rtl.Area.streams
   in
   let base = count Driver.baseline in
   check tint "unoptimized adds one stream per process" (base + 64) (count Driver.unoptimized);

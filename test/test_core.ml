@@ -274,7 +274,7 @@ let test_strip_asserts () =
 let test_notify_c_source () =
   let prog = elab two_assert_src in
   let c = Driver.compile ~strategy:Driver.unoptimized prog in
-  let src = c.Driver.notification_source in
+  let src = (Driver.notification_source c) in
   let contains needle =
     let n = String.length needle and m = String.length src in
     let rec go i = i + n <= m && (String.sub src i n = needle || go (i + 1)) in
@@ -289,7 +289,7 @@ let test_notify_nabort_source () =
   let c =
     Driver.compile ~strategy:{ Driver.unoptimized with Driver.nabort = true } prog
   in
-  let src = c.Driver.notification_source in
+  let src = (Driver.notification_source c) in
   let contains needle =
     let n = String.length needle and m = String.length src in
     let rec go i = i + n <= m && (String.sub src i n = needle || go (i + 1)) in
@@ -304,7 +304,7 @@ let test_notify_nabort_source () =
 let test_notify_dma_source () =
   let prog = elab two_assert_src in
   let c = Driver.compile ~strategy:Driver.carte prog in
-  let src = c.Driver.notification_source in
+  let src = (Driver.notification_source c) in
   let contains needle =
     let n = String.length needle and m = String.length src in
     let rec go i = i + n <= m && (String.sub src i n = needle || go (i + 1)) in
@@ -412,7 +412,7 @@ let test_driver_ndebug_strips_everything () =
 let test_driver_area_ordering () =
   (* baseline <= optimized <= unoptimized channel overhead at scale *)
   let prog = elab (Apps.Loopback_src.source ~n:32 ()) in
-  let a s = (Driver.compile ~strategy:s prog).Driver.area.Rtl.Area.aluts in
+  let a s = (Driver.rtl (Driver.compile ~strategy:s prog)).Driver.area.Rtl.Area.aluts in
   let base = a Driver.baseline in
   let unopt = a Driver.unoptimized in
   let shared = a { Driver.unoptimized with Driver.share = `Shared 32 } in
@@ -581,7 +581,8 @@ let test_carte_channel_count_constant () =
   check tint "one failure channel" 1 (List.length carte.Driver.plan.Core.Share.streams);
   check tint "vs one per process" 24 (List.length per_proc.Driver.plan.Core.Share.streams);
   check tbool "fewer total streams" true
-    (carte.Driver.area.Rtl.Area.streams < per_proc.Driver.area.Rtl.Area.streams)
+    ((Driver.rtl carte).Driver.area.Rtl.Area.streams
+    < (Driver.rtl per_proc).Driver.area.Rtl.Area.streams)
 
 (* --- Tables 3 and 4 (regression against the paper) ----------------------------------- *)
 
@@ -684,6 +685,73 @@ let test_fig3_without_fault_both_pass () =
   check tbool "circuit passes" true
     ((Driver.simulate c).Driver.engine.Engine.outcome = Engine.Finished)
 
+(* --- Shared compiles --------------------------------------------------------- *)
+
+(* Everything of a compile the simulator and the renderers read. *)
+let compile_text (c : Driver.compiled) =
+  String.concat "\n"
+    ([ Pin.group_pin (Pin.compiled_fsmds c) ]
+    @ List.map Mir.Ir.show_proc_ir c.Driver.ir.Mir.Ir.procs
+    @ List.map Ast.show_stream_decl c.Driver.ir.Mir.Ir.streams
+    @ List.map Ast.show_stream_decl c.Driver.plan.Core.Share.streams
+    @ List.map
+        (fun (k : Core.Checker.t) -> Pin.fsmd_text k.Core.Checker.fsmd)
+        c.Driver.checkers)
+
+(* [compile_all] gives each strategy what [compile ~strategy] gives, and
+   shares the application FSMDs wherever the process IR is the same: the
+   parallelized modes always (they also share the lowered IR), every mode
+   when the program has no assertion. *)
+let check_shared_compile name strategies prog =
+  let shared = Driver.compile_all strategies prog in
+  check (Alcotest.list tstr) (name ^ " strategies") (List.map fst strategies)
+    (List.map fst shared);
+  List.iter2
+    (fun (sname, strategy) (_, (c : Driver.compiled)) ->
+      let alone = Driver.compile ~strategy prog in
+      check tstr (name ^ "/" ^ sname ^ " compile") (compile_text alone) (compile_text c);
+      check tbool (name ^ "/" ^ sname ^ " assertion table") true
+        (alone.Driver.table = c.Driver.table))
+    strategies shared;
+  let same xs ys = List.length xs = List.length ys && List.for_all2 ( == ) xs ys in
+  let same_fsmds (_, (a : Driver.compiled)) (_, (b : Driver.compiled)) =
+    same a.Driver.fsmds b.Driver.fsmds
+  in
+  let parallel =
+    List.filter (fun (_, (c : Driver.compiled)) -> c.Driver.strategy.Driver.mode = Driver.Optimized)
+      shared
+  in
+  List.iter
+    (fun a ->
+      check tbool (name ^ "/" ^ fst a ^ " shares the parallelized FSMDs") true
+        (same_fsmds (List.hd parallel) a);
+      check tbool (name ^ "/" ^ fst a ^ " shares the parallelized IR") true
+        (same (snd (List.hd parallel)).Driver.ir.Mir.Ir.procs (snd a).Driver.ir.Mir.Ir.procs))
+    parallel;
+  if Core.Assertion.extract prog = [] then
+    List.iter
+      (fun a ->
+        check tbool (name ^ "/" ^ fst a ^ " shares the FSMDs of an assertion-free program")
+          true
+          (same_fsmds (List.hd shared) a))
+      shared
+
+let test_shared_compile_examples () =
+  List.iter
+    (fun f ->
+      check_shared_compile f Driver.all_strategies
+        (Typecheck.parse_and_check ~file:f (Pin.read_example f)))
+    (Pin.example_files ())
+
+let test_shared_compile_torture () =
+  for index = 0 to 199 do
+    let seed = Torture.Gen.program_seed ~run_seed:42L ~index in
+    check_shared_compile
+      (Printf.sprintf "torture 42 #%d" index)
+      Campaign.default_strategies
+      (Torture.Gen.generate ~seed ~fuel:Torture.Fuzz.default_fuel)
+  done
+
 let () =
   Alcotest.run "core"
     [
@@ -753,9 +821,9 @@ let () =
                 let rec go i = i + m <= l && (String.sub s i m = sub || go (i + 1)) in
                 go 0
               in
-              check tbool "polls a mailbox" true (has "mailbox" c.Driver.notification_source);
+              check tbool "polls a mailbox" true (has "mailbox" (Driver.notification_source c));
               check tbool "no stream reads" false
-                (has "co_stream_read" c.Driver.notification_source));
+                (has "co_stream_read" (Driver.notification_source c)));
           Alcotest.test_case "DMA transport catches" `Quick test_carte_transport_catches;
           Alcotest.test_case "polling batches notification" `Quick
             test_carte_polling_batches_notification;
@@ -776,5 +844,10 @@ let () =
         [
           Alcotest.test_case "figure 3 divergence" `Quick test_fig3_software_passes_circuit_fails;
           Alcotest.test_case "no fault, both pass" `Quick test_fig3_without_fault_both_pass;
+        ] );
+      ( "shared compile",
+        [
+          Alcotest.test_case "examples" `Quick test_shared_compile_examples;
+          Alcotest.test_case "torture 42 #0-199" `Quick test_shared_compile_torture;
         ] );
     ]

@@ -585,7 +585,7 @@ process hw p1(int32 n) {
 
 let test_notify_per_stream_cases () =
   let c = Driver.compile ~strategy:Driver.parallelized (elab two_proc_source) in
-  let src = c.Driver.notification_source in
+  let src = (Driver.notification_source c) in
   (* split the generated C at the second drain loop *)
   let idx =
     let sub = "co_stream_read(__err_p1" in
@@ -608,7 +608,7 @@ let test_notify_shared_channel_words () =
   (* under 32-way sharing both assertions ride one stream: its single
      drain loop must carry both, keyed by distinct failure words *)
   let c = Driver.compile ~strategy:Driver.optimized (elab two_proc_source) in
-  let src = c.Driver.notification_source in
+  let src = (Driver.notification_source c) in
   check tbool "both assertions in the shared loop" true
     (has_sub ~sub:"`x > 0'" src && has_sub ~sub:"`y < 100'" src)
 

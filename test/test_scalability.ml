@@ -11,27 +11,26 @@ let tbool = Alcotest.bool
 
 let n = 64
 
+(* The RTL of the three designs: original, unoptimized and shared. *)
 let compiled =
   lazy
     (let prog =
        Typecheck.parse_and_check ~file:"loopback.c" (Apps.Loopback_src.source ~n ())
      in
-     let orig = Driver.compile ~strategy:Driver.baseline prog in
-     let unopt = Driver.compile ~strategy:Driver.unoptimized prog in
-     let shared =
-       Driver.compile ~strategy:{ Driver.unoptimized with Driver.share = `Shared 32 } prog
-     in
-     (orig, unopt, shared))
+     let rtl strategy = Driver.rtl (Driver.compile ~strategy prog) in
+     ( rtl Driver.baseline,
+       rtl Driver.unoptimized,
+       rtl { Driver.unoptimized with Driver.share = `Shared 32 } ))
 
 let test_figure5_ratio () =
   let orig, unopt, shared = Lazy.force compiled in
-  let ovh (c : Driver.compiled) = c.Driver.area.Area.aluts - orig.Driver.area.Area.aluts in
+  let ovh (r : Driver.rtl) = r.Driver.area.Area.aluts - orig.Driver.area.Area.aluts in
   check tbool "sharing reduces ALUT overhead by at least 3x" true
     (float_of_int (ovh unopt) /. float_of_int (ovh shared) >= 3.0)
 
 let test_figure4_ordering () =
   let orig, unopt, shared = Lazy.force compiled in
-  let f (c : Driver.compiled) = c.Driver.timing.Timing.fmax_mhz in
+  let f (r : Driver.rtl) = r.Driver.timing.Timing.fmax_mhz in
   check tbool "unoptimized is the slowest" true (f unopt < f shared);
   check tbool "unoptimized drops well below original" true (f unopt < 0.95 *. f orig);
   check tbool "sharing recovers a substantial part of the loss" true
@@ -44,9 +43,8 @@ let test_overhead_grows_linearly () =
     let prog =
       Typecheck.parse_and_check ~file:"loopback.c" (Apps.Loopback_src.source ~n:k ())
     in
-    let orig = Driver.compile ~strategy:Driver.baseline prog in
-    let unopt = Driver.compile ~strategy:Driver.unoptimized prog in
-    float_of_int (unopt.Driver.area.Area.aluts - orig.Driver.area.Area.aluts)
+    let aluts strategy = (Driver.rtl (Driver.compile ~strategy prog)).Driver.area.Area.aluts in
+    float_of_int (aluts Driver.unoptimized - aluts Driver.baseline)
   in
   let per8 = ovh 8 /. 8.0 and per32 = ovh 32 /. 32.0 in
   check tbool "linear within 10%" true (Float.abs (per8 -. per32) /. per8 < 0.1)

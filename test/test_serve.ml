@@ -738,7 +738,7 @@ let artifact_pin f (sname, strategy) =
     (Pin.hex o.Serve.Sched.sc_text)
     (Pin.hex (Report.to_string o.Serve.Sched.sc_report))
     (Pin.hex (Core.Driver.vhdl c))
-    (Pin.hex c.Core.Driver.notification_source)
+    (Pin.hex (Core.Driver.notification_source c))
 
 (* (example/strategy, compile text, compile JSON, VHDL, notification C).
    Re-pin only for an intended change of the rendered artifacts. *)

@@ -1159,6 +1159,9 @@ let serve_bench () =
 
 (* --- Bechamel micro-benchmarks ------------------------------------------------------ *)
 
+(* Each case's OLS estimate in ns/run, printed and written to
+   BENCH_micro.json in the order of the case list ([null] when Bechamel
+   gives no estimate). *)
 let bechamel () =
   section "Bechamel: compiler and simulator throughput";
   let open Bechamel in
@@ -1166,61 +1169,68 @@ let bechamel () =
   let edge_prog = elab ~file:"edge.c" (Apps.Edge_src.demo_source ()) in
   let loop_prog = elab ~file:"loopback.c" (Apps.Loopback_src.source ~n:8 ()) in
   let micro = elab ~file:"k.c" Apps.Micro_src.array_pipelined in
+  let torture_prog =
+    Torture.Gen.generate
+      ~seed:(Torture.Gen.program_seed ~run_seed:42L ~index:0)
+      ~fuel:Torture.Fuzz.default_fuel
+  in
   (* lowering requires assertion synthesis (or stripping) to have run *)
   let des_stripped = Core.Instrument.strip_asserts (List.hd des_prog.Front.Ast.procs) in
   let des_ir = Mir.Opt.optimize (Mir.Lower.lower_proc des_prog des_stripped) in
-  let tests =
+  let cases =
     [
-      Test.make ~name:"parse+typecheck edge-detect"
-        (Staged.stage (fun () -> ignore (elab ~file:"edge.c" (Apps.Edge_src.demo_source ()))));
-      Test.make ~name:"lower+optimize 3DES"
-        (Staged.stage (fun () ->
-             ignore (Mir.Opt.optimize (Mir.Lower.lower_proc des_prog des_stripped))));
-      Test.make ~name:"schedule 3DES FSMD"
-        (Staged.stage (fun () -> ignore (Hls.Schedule.compile_proc des_ir)));
-      Test.make ~name:"full compile (edge, optimized)"
-        (Staged.stage (fun () ->
-             ignore (Driver.compile ~strategy:Driver.parallelized edge_prog)));
-      Test.make ~name:"modulo-schedule micro kernel"
-        (Staged.stage (fun () ->
-             ignore (Driver.compile ~strategy:Driver.baseline micro)));
-      Test.make ~name:"simulate 8-stage loopback (64 values)"
-        (Staged.stage
-           (let c = Driver.compile ~strategy:Driver.optimized loop_prog in
-            fun () ->
-              ignore
-                (Driver.simulate
-                   ~options:
-                     {
-                       Driver.default_sim_options with
-                       Driver.feeds = [ ("feed_in", Apps.Loopback_src.feed ~count:64) ];
-                       drains = [ "loop_out" ];
-                       params = Apps.Loopback_src.params ~n:8 ~count:64;
-                     }
-                   c)));
+      ( "parse+typecheck edge-detect",
+        Staged.stage (fun () -> ignore (elab ~file:"edge.c" (Apps.Edge_src.demo_source ()))) );
+      ( "lower+optimize 3DES",
+        Staged.stage (fun () ->
+            ignore (Mir.Opt.optimize (Mir.Lower.lower_proc des_prog des_stripped))) );
+      ( "schedule 3DES FSMD",
+        Staged.stage (fun () -> ignore (Hls.Schedule.compile_proc des_ir)) );
+      ( "full compile (edge, optimized)",
+        Staged.stage (fun () ->
+            ignore (Driver.compile ~strategy:Driver.parallelized edge_prog)) );
+      ( "compile_all, 4 oracle strategies (torture seed 42 #0)",
+        Staged.stage (fun () ->
+            ignore (Driver.compile_all Torture.Oracle.default_strategies torture_prog)) );
+      ( "modulo-schedule micro kernel",
+        Staged.stage (fun () -> ignore (Driver.compile ~strategy:Driver.baseline micro)) );
+      ( "simulate 8-stage loopback (64 values)",
+        Staged.stage
+          (let c = Driver.compile ~strategy:Driver.optimized loop_prog in
+           fun () ->
+             ignore
+               (Driver.simulate
+                  ~options:
+                    {
+                      Driver.default_sim_options with
+                      Driver.feeds = [ ("feed_in", Apps.Loopback_src.feed ~count:64) ];
+                      drains = [ "loop_out" ];
+                      params = Apps.Loopback_src.params ~n:8 ~count:64;
+                    }
+                  c)) );
     ]
   in
-  let benchmark test =
+  let estimate (name, fn) =
     let instance = Toolkit.Instance.monotonic_clock in
     let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
-    let raw = Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"g" [ test ]) in
+    let raw =
+      Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"g" [ Test.make ~name fn ])
+    in
     let ols =
       Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
     in
-    let results = Analyze.all ols instance raw in
-    Hashtbl.iter
-      (fun name result ->
-        match Analyze.OLS.estimates result with
-        | Some [ est ] ->
-            Printf.printf "  %-40s %12.1f ns/run\n"
-              (match String.index_opt name '/' with
-              | Some i -> String.sub name (i + 1) (String.length name - i - 1)
-              | None -> name)
-              est
-        | _ -> Printf.printf "  %-40s (no estimate)\n" name)
-      results
+    let est =
+      Hashtbl.fold
+        (fun _ result acc ->
+          match Analyze.OLS.estimates result with Some [ est ] -> Some est | _ -> acc)
+        (Analyze.all ols instance raw) None
+    in
+    (match est with
+    | Some ns -> Printf.printf "  %-55s %12.1f ns/run\n" name ns
+    | None -> Printf.printf "  %-55s (no estimate)\n" name);
+    (name, match est with Some ns -> fixed 1 ns | None -> Json.Null)
   in
-  List.iter benchmark tests
+  write_artifact "BENCH_micro.json" (List.map estimate cases)
 
 (* --- Driver ----------------------------------------------------------------------- *)
 

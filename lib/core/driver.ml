@@ -180,22 +180,11 @@ let prune_statically_proved (prog : program) : program * int =
   prune_asserts prog proved
 
 (* Lowering reads the process, its mirrors, the port count and the
-   program's streams and externs, and nothing else: this is the key under
-   which {!compile_all} shares one lowered, optimized process between
-   strategies. *)
-type lower_key = {
-  lk_proc : proc;
-  lk_mirrors : (string * string) list;
-  lk_mem_ports : int;
-  lk_streams : stream_decl list;
-  lk_externs : extern_decl list;
-}
-
-let lower (k : lower_key) : Ir.proc_ir =
-  Mir.Opt.optimize
-    (Mir.Lower.lower_proc ~mirrors:k.lk_mirrors ~mem_ports:k.lk_mem_ports
-       { streams = k.lk_streams; externs = k.lk_externs; procs = [] }
-       k.lk_proc)
+   program's streams and externs, and nothing else: this tuple is the key
+   under which {!compile_all} shares one lowered, optimized process
+   between strategies. *)
+let lower (p, mirrors, mem_ports, streams, externs) : Ir.proc_ir =
+  Mir.Opt.optimize (Mir.Lower.lower_proc ~mirrors ~mem_ports { streams; externs; procs = [] } p)
 
 (* [f] memoized on structurally equal arguments.  The table lives as long
    as the returned closure, so {!compile_all} shares results within one
@@ -255,14 +244,8 @@ let front_with ~lower ~strategy ~prune_proved ~induction_proved (prog : program)
   let ir_procs =
     List.map
       (fun p ->
-        lower
-          {
-            lk_proc = p;
-            lk_mirrors = (try List.assoc p.pname mirrors with Not_found -> []);
-            lk_mem_ports = strategy.mem_ports;
-            lk_streams = app_streams;
-            lk_externs = instrumented.externs;
-          })
+        let mirrors = try List.assoc p.pname mirrors with Not_found -> [] in
+        lower (p, mirrors, strategy.mem_ports, app_streams, instrumented.externs))
       (hw_procs instrumented)
   in
   let ir =
@@ -375,7 +358,8 @@ let compile_shared ?(prune_proved = false) ?(induction_proved = []) ?faults stra
   let lower = memo lower and schedule = memo Hls.Schedule.compile_proc in
   List.map
     (fun (name, strategy) ->
-      (name, finish_with ~schedule ?faults (front_with ~lower ~strategy ~prune_proved ~induction_proved prog)))
+      let f = front_with ~lower ~strategy ~prune_proved ~induction_proved prog in
+      (name, finish_with ~schedule ?faults f))
     strategies
 
 (** Compile [prog] under every named strategy, sharing lowered and

@@ -84,7 +84,9 @@ val default_watchdog : int  (** 500 *)
     escape hatch: inject every fault into a separate compile and
     simulate from cycle zero, the pre-split-stream behaviour.  The
     divergence classes agree between the two paths (details such as
-    cycle counts may differ — padding perturbs the schedule).
+    cycle counts may differ — padding perturbs the schedule).  Without
+    faults, the golden run's baseline compile and every strategy's
+    circuit come from one {!Core.Driver.compile_all}.
 
     Never raises: toolchain failures classify as {!Crash}. *)
 val check :

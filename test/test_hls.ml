@@ -276,11 +276,6 @@ let binding_invariant =
 
 (* --- FSMD pins --------------------------------------------------------------------- *)
 
-let group_pin = Pin.group_pin
-let compiled_fsmds = Pin.compiled_fsmds
-let examples_dir = Pin.examples_dir
-let read_example = Pin.read_example
-
 (* Every group the pins cover, in a fixed order: examples × all
    strategies; the bundled campaign workloads × default strategies, plain
    and with every fault site padded; torture programs 0-199 of run seed
@@ -288,14 +283,12 @@ let read_example = Pin.read_example
    programs. *)
 let pin_groups () =
   let examples =
-    Sys.readdir examples_dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".c")
-    |> List.sort compare
+    Pin.example_files ()
     |> List.concat_map (fun f ->
-           let prog = Typecheck.parse_and_check ~file:f (read_example f) in
+           let prog = Typecheck.parse_and_check ~file:f (Pin.read_example f) in
            List.map
              (fun (sname, strategy) ->
-               (f ^ "/" ^ sname, fun () -> compiled_fsmds (Core.Driver.compile ~strategy prog)))
+               (f ^ "/" ^ sname, fun () -> Pin.compiled_fsmds (Core.Driver.compile ~strategy prog)))
              Core.Driver.all_strategies)
   in
   let bundled =
@@ -306,12 +299,12 @@ let pin_groups () =
             let front () = Core.Driver.front ~strategy w.Campaign.program in
             [
               ( "bundled " ^ w.Campaign.wname ^ "/" ^ sname,
-                fun () -> compiled_fsmds (Core.Driver.finish (front ())) );
+                fun () -> Pin.compiled_fsmds (Core.Driver.finish (front ())) );
               ( "bundled " ^ w.Campaign.wname ^ "/" ^ sname ^ " padded",
                 fun () ->
                   let fr = front () in
                   let inst = Faults.Fault.instrument_all fr.Core.Driver.f_ir in
-                  compiled_fsmds
+                  Pin.compiled_fsmds
                     (Core.Driver.finish { fr with Core.Driver.f_ir = inst.Faults.Fault.ip_prog }) );
             ])
           Campaign.default_strategies)
@@ -328,7 +321,7 @@ let pin_groups () =
                   (fun index ->
                     let seed = Torture.Gen.program_seed ~run_seed:42L ~index in
                     let prog = Torture.Gen.generate ~seed ~fuel:Torture.Fuzz.default_fuel in
-                    compiled_fsmds (Core.Driver.compile ~strategy prog))
+                    Pin.compiled_fsmds (Core.Driver.compile ~strategy prog))
                   (List.init 50 (fun i -> (50 * block) + i)) ))
           [ 0; 1; 2; 3 ])
       Campaign.default_strategies
@@ -475,7 +468,7 @@ let fsmd_pins =
   ]
 
 let test_fsmd_pins () =
-  let got = List.map (fun (name, fsmds) -> (name, group_pin (fsmds ()))) (pin_groups ()) in
+  let got = List.map (fun (name, fsmds) -> (name, Pin.group_pin (fsmds ()))) (pin_groups ()) in
   if got <> fsmd_pins then
     List.iter (fun (name, pin) -> Printf.printf "    (%S, %S);\n" name pin) got;
   check (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string)) "FSMD pins" fsmd_pins got

@@ -845,7 +845,7 @@ let () =
           Alcotest.test_case "figure 3 divergence" `Quick test_fig3_software_passes_circuit_fails;
           Alcotest.test_case "no fault, both pass" `Quick test_fig3_without_fault_both_pass;
         ] );
-      ( "shared compile",
+      ( "compile_all",
         [
           Alcotest.test_case "examples" `Quick test_shared_compile_examples;
           Alcotest.test_case "torture 42 #0-199" `Quick test_shared_compile_torture;

@@ -10,8 +10,9 @@
    proved by 1-induction where Absint says Unknown, pruning dividend,
    byte-identical reports across job counts, and pinned verdicts (class,
    k or cycle, reach) for the examples, the torture corpus and a band of
-   generated programs, with the solver's work and the induction model's
-   size pinned for prove_demo and mine_demo, and the free start state of
+   generated programs, with the solver's work pinned for prove_demo and
+   mine_demo and digested over the corpus, edge and generated programs,
+   the induction model's size pinned for prove_demo, and the free start state of
    the induction step pinned at stream depths and state counts that are
    not powers of two. *)
 
@@ -844,38 +845,10 @@ let corpus_pins =
 let generated_pin_count = 30
 let generated_pin = "c7a54584f3c0bd64d7dd6597dd94c3ef"
 
-let test_verdict_pins () =
-  List.iter
-    (fun (path, want) ->
-      let results = pin_results (elab (read_file (example path))) in
-      check (Alcotest.list tstr) path want (List.map verdict_line results);
-      match List.assoc_opt path work_pins with
-      | Some work ->
-          check (Alcotest.list tstr) (path ^ " solver work") work
-            (List.map work_line results)
-      | None -> ())
-    example_pins;
-  let prog = elab (read_file (example "examples/prove_demo.c")) in
-  let nodes, vars, clauses = induction_model_sizes prog ~id:1 ~max_k:4 in
-  check tint "prove_demo #1 induction model: AIG nodes" 45669 nodes;
-  check tint "prove_demo #1 induction model: SAT variables" 15646 vars;
-  check tint "prove_demo #1 induction model: clauses" 46264 clauses;
-  List.iter
-    (fun (name, want) ->
-      let path = example (Filename.concat Torture.Corpus.default_dir (name ^ ".inca")) in
-      let src = (Torture.Corpus.load path).Torture.Corpus.source in
-      check (Alcotest.list tstr) name want (pin_lines (elab src)))
-    corpus_pins;
-  let b = Buffer.create 4096 in
-  for i = 0 to generated_pin_count - 1 do
-    let prog =
-      Front.Typecheck.parse_and_check
-        (Front.Pretty.program_to_string
-           (Gen.generate ~seed:(Gen.program_seed ~run_seed:13L ~index:i) ~fuel:8))
-    in
-    List.iter (fun l -> Buffer.add_string b (l ^ "\n")) (pin_lines prog)
-  done;
-  check tstr "generated programs" generated_pin (Digest.to_hex (Digest.string (Buffer.contents b)))
+(* MD5 over the [work_line]s of the corpus pins, the edge programs below
+   and the generated programs, in that order: a solver change that keeps
+   every verdict but searches differently moves this. *)
+let generated_work_pin = "4ea5489467dba9bf65e54a613dafc040"
 
 (* --- induction model at bounds that are not powers of two ------------------
 
@@ -1027,6 +1000,50 @@ let test_induction_edge_bounds () =
   List.iter
     (fun d -> check tbool (Printf.sprintf "a stream of depth %d" d) true (List.mem d depths))
     [ 1; 3; 5 ]
+
+let test_verdict_pins () =
+  List.iter
+    (fun (path, want) ->
+      let results = pin_results (elab (read_file (example path))) in
+      check (Alcotest.list tstr) path want (List.map verdict_line results);
+      match List.assoc_opt path work_pins with
+      | Some work ->
+          check (Alcotest.list tstr) (path ^ " solver work") work
+            (List.map work_line results)
+      | None -> ())
+    example_pins;
+  let prog = elab (read_file (example "examples/prove_demo.c")) in
+  let nodes, vars, clauses = induction_model_sizes prog ~id:1 ~max_k:4 in
+  check tint "prove_demo #1 induction model: AIG nodes" 45669 nodes;
+  check tint "prove_demo #1 induction model: SAT variables" 15646 vars;
+  check tint "prove_demo #1 induction model: clauses" 46264 clauses;
+  let work = Buffer.create 4096 in
+  let add_work results =
+    List.iter (fun r -> Buffer.add_string work (work_line r ^ "\n")) results
+  in
+  List.iter
+    (fun (name, want) ->
+      let path = example (Filename.concat Torture.Corpus.default_dir (name ^ ".inca")) in
+      let src = (Torture.Corpus.load path).Torture.Corpus.source in
+      let results = pin_results (elab src) in
+      check (Alcotest.list tstr) name want (List.map verdict_line results);
+      add_work results)
+    corpus_pins;
+  List.iter (fun (src, _, _) -> add_work (pin_results (elab src))) edge_programs;
+  let b = Buffer.create 4096 in
+  for i = 0 to generated_pin_count - 1 do
+    let prog =
+      Front.Typecheck.parse_and_check
+        (Front.Pretty.program_to_string
+           (Gen.generate ~seed:(Gen.program_seed ~run_seed:13L ~index:i) ~fuel:8))
+    in
+    let results = pin_results prog in
+    List.iter (fun r -> Buffer.add_string b (verdict_line r ^ "\n")) results;
+    add_work results
+  done;
+  check tstr "generated programs" generated_pin (Digest.to_hex (Digest.string (Buffer.contents b)));
+  check tstr "solver work over corpus, edge and generated programs" generated_work_pin
+    (Digest.to_hex (Digest.string (Buffer.contents work)))
 
 let () =
   Alcotest.run "bmc"

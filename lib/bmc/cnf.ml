@@ -8,7 +8,9 @@
 
       v <-> a /\ b   ~~>   (~v \/ a) (~v \/ b) (v \/ ~a \/ ~b)
 
-    with a single pinned variable for the constant-true node. *)
+    with a single pinned variable for the constant-true node.  The gate
+    clauses go to the solver through {!Sat.add_clause2} and
+    {!Sat.add_clause3}, so encoding builds no list. *)
 
 type t = {
   aig : Aig.t;
@@ -25,11 +27,15 @@ let create aig solver =
   map.(0) <- v;
   { aig; solver; map; stack = Array.make 64 0 }
 
+(* Growth copies with typed loops: [Array.blit] into a major-heap
+   [int array] stores each element through [caml_modify]. *)
 let ensure_map t n =
   let cap = Array.length t.map in
   if n > cap then begin
     let m = Array.make (max n (2 * cap)) (-1) in
-    Array.blit t.map 0 m 0 cap;
+    for i = 0 to cap - 1 do
+      m.(i) <- t.map.(i)
+    done;
     t.map <- m
   end
 
@@ -41,7 +47,9 @@ let sat_lit_of t (l : Aig.lit) : Sat.lit =
 let push t sp n =
   if sp = Array.length t.stack then begin
     let s = Array.make (2 * sp) 0 in
-    Array.blit t.stack 0 s 0 sp;
+    for i = 0 to sp - 1 do
+      s.(i) <- t.stack.(i)
+    done;
     t.stack <- s
   end;
   t.stack.(sp) <- n;
@@ -75,9 +83,9 @@ let lit t (l : Aig.lit) : Sat.lit =
         let v = Sat.new_var t.solver in
         map.(n) <- v;
         let a = sat_lit_of t f0 and b = sat_lit_of t f1 in
-        Sat.add_clause t.solver [ Sat.negl v; a ];
-        Sat.add_clause t.solver [ Sat.negl v; b ];
-        Sat.add_clause t.solver [ Sat.pos v; Sat.neg a; Sat.neg b ];
+        Sat.add_clause2 t.solver (Sat.negl v) a;
+        Sat.add_clause2 t.solver (Sat.negl v) b;
+        Sat.add_clause3 t.solver (Sat.pos v) (Sat.neg a) (Sat.neg b);
         decr sp
       end
     end

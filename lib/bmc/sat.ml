@@ -10,6 +10,23 @@
     yield identical models, which the byte-determinism CI gates rely
     on.
 
+    Decision order: the unassigned variable of highest activity, ties
+    to the lowest index.  It is served from two tiers.  The heap holds
+    only variables that [bump_var] has raised above 0; the variables
+    still at 0 (most of a BMC unrolling is never in a conflict) are
+    served in index order from a cursor, the lowest index that may
+    still be unassigned, which [cancel_until] lowers.  A bumped
+    variable beats every one at 0, so the decision is the heap's best
+    unassigned variable, and the cursor's only when the heap has none.
+
+    Clause intake avoids the write barrier: all clauses' literals sit
+    back to back in one [int array] arena, addressed by a per-clause
+    offset and length; growable arrays are copied with loops over their
+    statically known element type; and a field is reassigned only when
+    its array really grows.  In OCaml 5 a fresh per-clause block stored
+    into an array of clauses, and an [Array.blit] into a major-heap
+    [int array], both go through [caml_modify] element by element.
+
     Literal encoding: [2*var] is the positive literal of [var],
     [2*var+1] its negation. *)
 
@@ -34,10 +51,14 @@ type t = {
   mutable reason : int array;       (* per var: clause index or -1 *)
   mutable activity : float array;   (* per var: VSIDS score *)
   mutable polarity : bool array;    (* per var: saved phase (true = last true) *)
-  mutable heap : int array;         (* binary max-heap of vars *)
+  mutable heap : int array;         (* binary max-heap of bumped vars *)
   mutable heap_n : int;
   mutable heap_pos : int array;     (* per var: index in heap, -1 if absent *)
-  mutable clauses : int array array;
+  mutable next_var : int;           (* cursor: no var below it is unassigned at activity 0 *)
+  mutable arena : int array;        (* every clause's literals, back to back *)
+  mutable arena_n : int;
+  mutable cl_start : int array;     (* per clause: offset in [arena] *)
+  mutable cl_len : int array;       (* per clause: literal count *)
   mutable nclauses : int;
   mutable watches : int array array;  (* per lit: clause indices *)
   mutable watch_n : int array;        (* per lit: used length *)
@@ -53,6 +74,7 @@ type t = {
   mutable decisions : int;
   mutable propagations : int;
   mutable seen : bool array;        (* scratch for analyze *)
+  mutable buf : int array;          (* scratch: the clause being added or learnt *)
 }
 
 let create () =
@@ -66,7 +88,11 @@ let create () =
     heap = Array.make 16 0;
     heap_n = 0;
     heap_pos = Array.make 16 (-1);
-    clauses = Array.make 64 [||];
+    next_var = 0;
+    arena = Array.make 256 0;
+    arena_n = 0;
+    cl_start = Array.make 64 0;
+    cl_len = Array.make 64 0;
     nclauses = 0;
     watches = Array.make 32 [||];
     watch_n = Array.make 32 0;
@@ -82,6 +108,7 @@ let create () =
     decisions = 0;
     propagations = 0;
     seen = Array.make 16 false;
+    buf = Array.make 16 0;
   }
 
 let conflicts t = t.conflicts
@@ -91,41 +118,33 @@ let is_ok t = t.ok
 
 (* --- growable arrays ------------------------------------------------------- *)
 
-let grow_int a n fill =
-  let cap = Array.length a in
-  if n <= cap then a
-  else begin
-    let a' = Array.make (max n (cap * 2)) fill in
-    Array.blit a 0 a' 0 cap;
-    a'
-  end
+(* [a] copied into a fresh array of length [cap], the rest [fill].  The
+   loops store through a statically typed array, so no element goes
+   through [caml_modify]. *)
+let extend_int (a : int array) cap fill =
+  let a' = Array.make cap fill in
+  for i = 0 to Array.length a - 1 do
+    a'.(i) <- a.(i)
+  done;
+  a'
 
-let grow_float a n fill =
-  let cap = Array.length a in
-  if n <= cap then a
-  else begin
-    let a' = Array.make (max n (cap * 2)) fill in
-    Array.blit a 0 a' 0 cap;
-    a'
-  end
+let extend_float (a : float array) cap fill =
+  let a' = Array.make cap fill in
+  for i = 0 to Array.length a - 1 do
+    a'.(i) <- a.(i)
+  done;
+  a'
 
-let grow_bool a n fill =
-  let cap = Array.length a in
-  if n <= cap then a
-  else begin
-    let a' = Array.make (max n (cap * 2)) fill in
-    Array.blit a 0 a' 0 cap;
-    a'
-  end
+let extend_bool (a : bool array) cap fill =
+  let a' = Array.make cap fill in
+  for i = 0 to Array.length a - 1 do
+    a'.(i) <- a.(i)
+  done;
+  a'
 
-let grow_arr a n =
-  let cap = Array.length a in
-  if n <= cap then a
-  else begin
-    let a' = Array.make (max n (cap * 2)) [||] in
-    Array.blit a 0 a' 0 cap;
-    a'
-  end
+(* Room for [n] literals in the scratch clause. *)
+let reserve_buf t n =
+  if n > Array.length t.buf then t.buf <- extend_int t.buf (max n (2 * Array.length t.buf)) 0
 
 (* --- heap (max by activity) ------------------------------------------------ *)
 
@@ -159,9 +178,10 @@ let rec heap_down t i =
     heap_down t !best
   end
 
+(* The heap never holds more than [nvars] entries, and [heap] grows with
+   the per-variable arrays. *)
 let heap_insert t v =
   if t.heap_pos.(v) = -1 then begin
-    t.heap <- grow_int t.heap (t.heap_n + 1) 0;
     t.heap.(t.heap_n) <- v;
     t.heap_pos.(v) <- t.heap_n;
     t.heap_n <- t.heap_n + 1;
@@ -183,24 +203,28 @@ let heap_bump t v = if t.heap_pos.(v) >= 0 then heap_up t t.heap_pos.(v)
 
 (* --- variables ------------------------------------------------------------- *)
 
+let grow_vars t cap =
+  t.assigns <- extend_int t.assigns cap l_undef;
+  t.level <- extend_int t.level cap 0;
+  t.reason <- extend_int t.reason cap (-1);
+  t.activity <- extend_float t.activity cap 0.0;
+  t.polarity <- extend_bool t.polarity cap false;
+  t.heap <- extend_int t.heap cap 0;
+  t.heap_pos <- extend_int t.heap_pos cap (-1);
+  t.seen <- extend_bool t.seen cap false;
+  t.trail <- extend_int t.trail cap 0;
+  let w = Array.make (2 * cap) [||] in
+  Array.blit t.watches 0 w 0 (Array.length t.watches);
+  t.watches <- w;
+  t.watch_n <- extend_int t.watch_n (2 * cap) 0
+
+(* A fresh variable starts at activity 0, so it joins the cursor tier,
+   which already covers every index from [next_var] up.  Slots past
+   [nvars] still hold the fill values. *)
 let new_var t =
   let v = t.nvars in
+  if v = Array.length t.assigns then grow_vars t (2 * v);
   t.nvars <- v + 1;
-  let n = t.nvars in
-  t.assigns <- grow_int t.assigns n l_undef;
-  t.level <- grow_int t.level n 0;
-  t.reason <- grow_int t.reason n (-1);
-  t.activity <- grow_float t.activity n 0.0;
-  t.polarity <- grow_bool t.polarity n false;
-  t.heap_pos <- grow_int t.heap_pos n (-1);
-  t.seen <- grow_bool t.seen n false;
-  t.trail <- grow_int t.trail n 0;
-  t.watches <- grow_arr t.watches (2 * n);
-  t.watch_n <- grow_int t.watch_n (2 * n) 0;
-  t.assigns.(v) <- l_undef;
-  t.heap_pos.(v) <- -1;
-  t.seen.(v) <- false;
-  heap_insert t v;
   v
 
 (* Literal value: 0 undef, 1 true, 2 false. *)
@@ -212,6 +236,12 @@ let lit_value t (l : lit) =
 
 let decision_level t = t.trail_lim_n
 
+let new_decision_level t =
+  if t.trail_lim_n = Array.length t.trail_lim then
+    t.trail_lim <- extend_int t.trail_lim (2 * t.trail_lim_n) 0;
+  t.trail_lim.(t.trail_lim_n) <- t.trail_n;
+  t.trail_lim_n <- t.trail_lim_n + 1
+
 (* --- watches --------------------------------------------------------------- *)
 
 let watch_add t l ci =
@@ -220,8 +250,7 @@ let watch_add t l ci =
   let w =
     if n < Array.length w then w
     else begin
-      let w' = Array.make (max 4 (2 * max 1 (Array.length w))) 0 in
-      Array.blit w 0 w' 0 n;
+      let w' = extend_int w (max 4 (2 * Array.length w)) 0 in
       t.watches.(l) <- w';
       w'
     end
@@ -240,6 +269,8 @@ let enqueue t (l : lit) reason =
   t.trail.(t.trail_n) <- l;
   t.trail_n <- t.trail_n + 1
 
+(* Unassign back to level [lvl]: a bumped variable returns to the heap,
+   one at activity 0 to the cursor. *)
 let cancel_until t lvl =
   if decision_level t > lvl then begin
     let bound = t.trail_lim.(lvl) in
@@ -247,7 +278,8 @@ let cancel_until t lvl =
       let v = var_of t.trail.(i) in
       t.assigns.(v) <- l_undef;
       t.reason.(v) <- -1;
-      heap_insert t v
+      if t.activity.(v) > 0.0 then heap_insert t v
+      else if v < t.next_var then t.next_var <- v
     done;
     t.trail_n <- bound;
     t.qhead <- bound;
@@ -262,6 +294,7 @@ let cancel_until t lvl =
    (positions 0 and 1); when [neg l] is assigned (making [l] false) the
    clause must find a new watch, become unit, or conflict. *)
 let propagate t =
+  let arena = t.arena and cl_start = t.cl_start and cl_len = t.cl_len in
   let confl = ref (-1) in
   while !confl = -1 && t.qhead < t.trail_n do
     let p = t.trail.(t.qhead) in
@@ -275,34 +308,34 @@ let propagate t =
     while !i < wn do
       let ci = ws.(!i) in
       incr i;
-      let c = t.clauses.(ci) in
+      let s = cl_start.(ci) in
       (* normalize: the false literal goes to position 1 *)
-      if c.(0) = false_lit then begin
-        c.(0) <- c.(1);
-        c.(1) <- false_lit
+      if arena.(s) = false_lit then begin
+        arena.(s) <- arena.(s + 1);
+        arena.(s + 1) <- false_lit
       end;
-      if lit_value t c.(0) = 1 then begin
+      if lit_value t arena.(s) = 1 then begin
         (* clause satisfied: keep watching *)
         ws.(!keep) <- ci;
         incr keep
       end
       else begin
         (* look for a new literal to watch *)
-        let len = Array.length c in
-        let found = ref 0 in
-        let j = ref 2 in
-        while !found = 0 && !j < len do
-          if lit_value t c.(!j) <> 2 then found := !j;
+        let e = s + cl_len.(ci) in
+        let found = ref (-1) in
+        let j = ref (s + 2) in
+        while !found < 0 && !j < e do
+          if lit_value t arena.(!j) <> 2 then found := !j;
           incr j
         done;
-        if !found > 0 then begin
+        if !found >= 0 then begin
           let j = !found in
-          c.(1) <- c.(j);
-          c.(j) <- false_lit;
-          watch_add t c.(1) ci
+          arena.(s + 1) <- arena.(j);
+          arena.(j) <- false_lit;
+          watch_add t arena.(s + 1) ci
           (* watch on false_lit dropped *)
         end
-        else if lit_value t c.(0) = 2 then begin
+        else if lit_value t arena.(s) = 2 then begin
           (* conflict: keep the remaining watches, stop *)
           ws.(!keep) <- ci;
           incr keep;
@@ -318,7 +351,7 @@ let propagate t =
           (* unit clause *)
           ws.(!keep) <- ci;
           incr keep;
-          enqueue t c.(0) ci
+          enqueue t arena.(s) ci
         end
       end
     done;
@@ -328,27 +361,46 @@ let propagate t =
 
 (* --- clause addition ------------------------------------------------------- *)
 
-let attach_clause t (c : int array) : int =
-  t.clauses <- grow_arr t.clauses (t.nclauses + 1);
+(* Store [c.(0..n-1)] as a clause, in that order, watching positions 0
+   and 1.  Returns the clause index. *)
+let attach t (c : int array) n : int =
   let ci = t.nclauses in
-  t.clauses.(ci) <- c;
+  if ci = Array.length t.cl_start then begin
+    t.cl_start <- extend_int t.cl_start (2 * ci) 0;
+    t.cl_len <- extend_int t.cl_len (2 * ci) 0
+  end;
+  let s = t.arena_n in
+  if s + n > Array.length t.arena then
+    t.arena <- extend_int t.arena (max (s + n) (2 * Array.length t.arena)) 0;
+  let arena = t.arena in
+  for i = 0 to n - 1 do
+    arena.(s + i) <- c.(i)
+  done;
+  t.cl_start.(ci) <- s;
+  t.cl_len.(ci) <- n;
+  t.arena_n <- s + n;
   t.nclauses <- ci + 1;
   watch_add t c.(0) ci;
   watch_add t c.(1) ci;
   ci
 
-(* Add a problem clause.  Must be called with the solver at decision
-   level 0 (guaranteed between [solve] calls).  Simplifies against the
-   level-0 assignment: the literals are sorted and deduplicated, a
-   tautology or a clause already satisfied is dropped, and false
-   literals are removed, so the stored clause keeps its literals in
-   ascending order.  Problem clauses are short (Tseitin gates give one
-   to three literals), so the sort is an insertion sort. *)
-let add_clause t (lits : lit list) =
+let attach_clause t (c : int array) : int = attach t c (Array.length c)
+
+(** The literals of clause [ci] as stored (a copy). *)
+let clause t ci = Array.sub t.arena t.cl_start.(ci) t.cl_len.(ci)
+
+(* Add the problem clause in [buf.(0..n-1)].  Must be called with the
+   solver at decision level 0 (guaranteed between [solve] calls).
+   Simplifies against the level-0 assignment: the literals are sorted
+   and deduplicated, a tautology or a clause already satisfied is
+   dropped, and false literals are removed, so the stored clause keeps
+   its literals in ascending order.  Problem clauses are short (Tseitin
+   gates give one to three literals), so the sort is an insertion
+   sort. *)
+let add_buffered t n =
   if t.ok then begin
     assert (decision_level t = 0);
-    let c = Array.of_list lits in
-    let n = Array.length c in
+    let c = t.buf in
     for i = 1 to n - 1 do
       let l = c.(i) in
       let j = ref i in
@@ -381,43 +433,92 @@ let add_clause t (lits : lit list) =
       | 1 ->
           enqueue t c.(0) (-1);
           if propagate t <> -1 then t.ok <- false
-      | m -> ignore (attach_clause t (if m = n then c else Array.sub c 0 m))
+      | m -> ignore (attach t c m)
   end
+
+(** Add a problem clause (simplified as [add_buffered] describes). *)
+let add_clause t (lits : lit list) =
+  let n = List.length lits in
+  reserve_buf t n;
+  List.iteri (fun i l -> t.buf.(i) <- l) lits;
+  add_buffered t n
+
+(** [add_clause t [a; b]] without building the list. *)
+let add_clause2 t a b =
+  t.buf.(0) <- a;
+  t.buf.(1) <- b;
+  add_buffered t 2
+
+(** [add_clause t [a; b; c]] without building the list. *)
+let add_clause3 t a b c =
+  t.buf.(0) <- a;
+  t.buf.(1) <- b;
+  t.buf.(2) <- c;
+  add_buffered t 3
 
 (* --- conflict analysis ----------------------------------------------------- *)
 
 let var_decay = 1.0 /. 0.95
 
+(* Scale every activity down by 1e-100.  A variable that underflows to 0
+   leaves the heap for the cursor tier, and the heap is rebuilt: the
+   scaling can round two distinct activities to one value, and only a
+   rebuild puts such a pair back in index order. *)
+let rescale t =
+  for i = 0 to t.nvars - 1 do
+    t.activity.(i) <- t.activity.(i) *. 1e-100
+  done;
+  t.var_inc <- t.var_inc *. 1e-100;
+  let n = t.heap_n in
+  t.heap_n <- 0;
+  for i = 0 to n - 1 do
+    let v = t.heap.(i) in
+    if t.activity.(v) > 0.0 then begin
+      t.heap.(t.heap_n) <- v;
+      t.heap_pos.(v) <- t.heap_n;
+      t.heap_n <- t.heap_n + 1
+    end
+    else begin
+      t.heap_pos.(v) <- -1;
+      if t.assigns.(v) = l_undef && v < t.next_var then t.next_var <- v
+    end
+  done;
+  for i = (t.heap_n / 2) - 1 downto 0 do
+    heap_down t i
+  done
+
+(* Only assigned variables are bumped (they sit in the conflict's
+   clauses); one not in the heap joins it when [cancel_until] frees it. *)
 let bump_var t v =
   t.activity.(v) <- t.activity.(v) +. t.var_inc;
-  if t.activity.(v) > 1e100 then begin
-    for i = 0 to t.nvars - 1 do
-      t.activity.(i) <- t.activity.(i) *. 1e-100
-    done;
-    t.var_inc <- t.var_inc *. 1e-100
-  end;
+  if t.activity.(v) > 1e100 then rescale t;
   heap_bump t v
 
-(* First-UIP learning.  Returns (learned clause with the asserting
-   literal first, backtrack level). *)
+(* First-UIP learning.  Leaves the learned clause in [buf.(0..n-1)], the
+   asserting literal first and the others in the order they were met,
+   and returns (n, backtrack level). *)
 let analyze t confl =
-  let learnt = ref [] in
+  let n = ref 1 in
   let path = ref 0 in
   let p = ref (-1) in
   let confl = ref confl in
   let index = ref (t.trail_n - 1) in
   let continue = ref true in
   while !continue do
-    let c = t.clauses.(!confl) in
+    let s = t.cl_start.(!confl) in
     let start = if !p = -1 then 0 else 1 in
-    for j = start to Array.length c - 1 do
-      let q = c.(j) in
+    for j = start to t.cl_len.(!confl) - 1 do
+      let q = t.arena.(s + j) in
       let v = var_of q in
       if (not t.seen.(v)) && t.level.(v) > 0 then begin
         t.seen.(v) <- true;
         bump_var t v;
         if t.level.(v) >= decision_level t then incr path
-        else learnt := q :: !learnt
+        else begin
+          reserve_buf t (!n + 1);
+          t.buf.(!n) <- q;
+          incr n
+        end
       end
     done;
     (* pick the next seen literal on the trail *)
@@ -431,45 +532,42 @@ let analyze t confl =
     decr path;
     if !path > 0 then confl := t.reason.(var_of q) else continue := false
   done;
-  let learnt = neg !p :: List.rev !learnt in
-  List.iter (fun l -> t.seen.(var_of l) <- false) (List.tl learnt);
-  let bt =
-    match learnt with
-    | [ _ ] -> 0
-    | _ :: rest ->
-        List.fold_left (fun acc l -> max acc (t.level.(var_of l))) 0 rest
-    | [] -> 0
-  in
-  (learnt, bt)
+  t.buf.(0) <- neg !p;
+  let bt = ref 0 in
+  for j = 1 to !n - 1 do
+    let v = var_of t.buf.(j) in
+    t.seen.(v) <- false;
+    bt := max !bt t.level.(v)
+  done;
+  (!n, !bt)
 
-let record_learnt t learnt =
-  match learnt with
-  | [ l ] ->
-      cancel_until t 0;
-      if lit_value t l = l_undef then begin
-        enqueue t l (-1);
-        if propagate t <> -1 then t.ok <- false
-      end
-      else if lit_value t l = 2 then t.ok <- false;
-      t.ok
-  | l :: rest ->
-      (* backjump already done by the caller; place the asserting literal
-         at 0 and a highest-level literal at 1 *)
-      let c = Array.of_list learnt in
-      let best = ref 1 in
-      for j = 2 to Array.length c - 1 do
-        if t.level.(var_of c.(j)) > t.level.(var_of c.(!best)) then best := j
-      done;
-      let tmp = c.(1) in
-      c.(1) <- c.(!best);
-      c.(!best) <- tmp;
-      let ci = attach_clause t c in
-      ignore rest;
-      enqueue t l ci;
-      true
-  | [] ->
-      t.ok <- false;
-      false
+(* Record the learned clause that [analyze] left in [buf.(0..n-1)]. *)
+let record_learnt t n =
+  let c = t.buf in
+  let l = c.(0) in
+  if n = 1 then begin
+    cancel_until t 0;
+    if lit_value t l = l_undef then begin
+      enqueue t l (-1);
+      if propagate t <> -1 then t.ok <- false
+    end
+    else if lit_value t l = 2 then t.ok <- false;
+    t.ok
+  end
+  else begin
+    (* backjump already done by the caller; place the asserting literal
+       at 0 and a highest-level literal at 1 *)
+    let best = ref 1 in
+    for j = 2 to n - 1 do
+      if t.level.(var_of c.(j)) > t.level.(var_of c.(!best)) then best := j
+    done;
+    let tmp = c.(1) in
+    c.(1) <- c.(!best);
+    c.(!best) <- tmp;
+    let ci = attach t c n in
+    enqueue t l ci;
+    true
+  end
 
 (* --- restarts -------------------------------------------------------------- *)
 
@@ -489,6 +587,25 @@ let luby x =
   1 lsl !seq
 
 (* --- solving --------------------------------------------------------------- *)
+
+(* The next decision variable, or -1 when every variable is assigned:
+   the heap's best unassigned variable, else the cursor's.  Once the
+   heap is drained, no unassigned variable has a positive activity. *)
+let pick_branch t =
+  let v = ref (-1) in
+  while !v = -1 && t.heap_n > 0 do
+    let c = heap_pop t in
+    if t.assigns.(c) = l_undef then v := c
+  done;
+  if !v = -1 then begin
+    let i = ref t.next_var in
+    while !i < t.nvars && t.assigns.(!i) <> l_undef do
+      incr i
+    done;
+    t.next_var <- !i;
+    if !i < t.nvars then v := !i
+  end;
+  !v
 
 exception Done of result
 
@@ -518,9 +635,9 @@ let solve ?(assumptions : lit list = []) ?(conflict_limit = max_int) t : result 
               raise (Done Unsat)
             end;
             if !conflicts_left < 0 then raise (Done Undecided);
-            let learnt, bt = analyze t confl in
+            let n, bt = analyze t confl in
             cancel_until t bt;
-            if not (record_learnt t learnt) then raise (Done Unsat);
+            if not (record_learnt t n) then raise (Done Unsat);
             t.var_inc <- t.var_inc *. var_decay
           end
           else if !budget <= 0 && decision_level t > Array.length assumps then begin
@@ -538,33 +655,23 @@ let solve ?(assumptions : lit list = []) ?(conflict_limit = max_int) t : result 
               match lit_value t a with
               | 1 ->
                   (* already true: open an empty level so indices align *)
-                  t.trail_lim <- grow_int t.trail_lim (t.trail_lim_n + 1) 0;
-                  t.trail_lim.(t.trail_lim_n) <- t.trail_n;
-                  t.trail_lim_n <- t.trail_lim_n + 1
+                  new_decision_level t
               | 2 -> raise (Done Unsat)  (* assumptions contradictory *)
               | _ ->
-                  t.trail_lim <- grow_int t.trail_lim (t.trail_lim_n + 1) 0;
-                  t.trail_lim.(t.trail_lim_n) <- t.trail_n;
-                  t.trail_lim_n <- t.trail_lim_n + 1;
+                  new_decision_level t;
                   t.decisions <- t.decisions + 1;
                   enqueue t a (-1)
             end
             else begin
               (* VSIDS decision with saved phase *)
-              let v = ref (-1) in
-              while !v = -1 && t.heap_n > 0 do
-                let c = heap_pop t in
-                if t.assigns.(c) = l_undef then v := c
-              done;
-              if !v = -1 then begin
+              let v = pick_branch t in
+              if v = -1 then begin
                 t.model <- Array.copy t.assigns;
                 raise (Done Sat)
               end;
-              t.trail_lim <- grow_int t.trail_lim (t.trail_lim_n + 1) 0;
-              t.trail_lim.(t.trail_lim_n) <- t.trail_n;
-              t.trail_lim_n <- t.trail_lim_n + 1;
+              new_decision_level t;
               t.decisions <- t.decisions + 1;
-              enqueue t (if t.polarity.(!v) then pos !v else negl !v) (-1)
+              enqueue t (if t.polarity.(v) then pos v else negl v) (-1)
             end
           end
         done;

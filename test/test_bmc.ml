@@ -156,7 +156,9 @@ let reference_add_clause (s : Sat.t) (lits : Sat.lit list) =
 
 (* Random clause streams over few variables, so duplicates,
    complementary pairs and literals already fixed at level 0 (by
-   earlier unit clauses) are common. *)
+   earlier unit clauses) are common.  Every other clause of two or
+   three literals goes through [Sat.add_clause2] / [Sat.add_clause3],
+   the list-free intake of [Cnf]'s gate clauses. *)
 let sat_clause_intake =
   QCheck.Test.make ~count:300 ~name:"clause intake equals the reference normalizer"
     QCheck.int (fun seed ->
@@ -168,7 +170,7 @@ let sat_clause_intake =
         ignore (Sat.new_var r)
       done;
       let lit () = (2 * Random.State.int rs nvars) + Random.State.int rs 2 in
-      for _ = 1 to 40 do
+      for k = 1 to 40 do
         let len = 1 + Random.State.int rs 6 in
         let c = ref [] in
         for _ = 1 to len do
@@ -180,10 +182,13 @@ let sat_clause_intake =
           in
           c := l :: !c
         done;
-        Sat.add_clause s !c;
+        (match !c with
+         | [ a; b ] when k mod 2 = 0 -> Sat.add_clause2 s a b
+         | [ a; b; c ] when k mod 2 = 0 -> Sat.add_clause3 s a b c
+         | lits -> Sat.add_clause s lits);
         reference_add_clause r !c
       done;
-      let clauses (t : Sat.t) = Array.to_list (Array.sub t.Sat.clauses 0 t.Sat.nclauses) in
+      let clauses (t : Sat.t) = List.init t.Sat.nclauses (Sat.clause t) in
       let trail (t : Sat.t) = Array.to_list (Array.sub t.Sat.trail 0 t.Sat.trail_n) in
       s.Sat.nclauses = r.Sat.nclauses
       && clauses s = clauses r

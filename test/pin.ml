@@ -4,20 +4,29 @@
 module Ir = Mir.Ir
 module Fsmd = Hls.Fsmd
 
-let examples_dir =
-  List.find
-    (fun d -> Sys.file_exists (Filename.concat d "fir.c"))
-    [ "../examples"; "examples"; "../../examples" ]
+(* Where [examples/] may be, relative to the test's working directory:
+   dune runs tests from subdirectories of [_build]. *)
+let example_dirs = [ "../examples"; "examples"; "../../examples" ]
+
+(* Looked up on each use, so a binary started away from [examples/]
+   fails the test that needs it, by name, instead of dying before
+   Alcotest starts. *)
+let examples_dir () =
+  match List.find_opt (fun d -> Sys.file_exists (Filename.concat d "fir.c")) example_dirs with
+  | Some d -> d
+  | None ->
+      Alcotest.failf "no examples/ directory (holding fir.c) from %s; tried %s" (Sys.getcwd ())
+        (String.concat ", " example_dirs)
 
 let read_example f =
-  let ic = open_in_bin (Filename.concat examples_dir f) in
+  let ic = open_in_bin (Filename.concat (examples_dir ()) f) in
   let src = really_input_string ic (in_channel_length ic) in
   close_in ic;
   src
 
 (* The bundled [examples/*.c] file names, sorted. *)
 let example_files () =
-  Sys.readdir examples_dir |> Array.to_list
+  Sys.readdir (examples_dir ()) |> Array.to_list
   |> List.filter (fun f -> Filename.check_suffix f ".c")
   |> List.sort compare
 

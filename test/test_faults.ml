@@ -623,17 +623,6 @@ let test_notify_shared_channel_words () =
 
 module Ir = Mir.Ir
 
-let examples_dir =
-  List.find
-    (fun d -> Sys.file_exists (Filename.concat d "fir.c"))
-    [ "../examples"; "examples"; "../../examples" ]
-
-let read_example f =
-  let ic = open_in_bin (Filename.concat examples_dir f) in
-  let src = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  src
-
 (* [Ir.proc_to_string] omits instruction types and register origins:
    append both so retyped or renamed pads move the digest too. *)
 let proc_text (p : Ir.proc_ir) =
@@ -730,11 +719,9 @@ let pin_of digests =
 let fault_pin_groups () =
   let ir ~strategy prog = (Driver.front ~strategy prog).Driver.f_ir in
   let examples =
-    Sys.readdir examples_dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".c")
-    |> List.sort compare
+    Pin.example_files ()
     |> List.concat_map (fun f ->
-           let prog = Typecheck.parse_and_check ~file:f (read_example f) in
+           let prog = Typecheck.parse_and_check ~file:f (Pin.read_example f) in
            List.map
              (fun (sname, strategy) ->
                (f ^ "/" ^ sname, fun () -> [ fault_digest (ir ~strategy prog) ]))

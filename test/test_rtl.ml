@@ -225,30 +225,17 @@ let vhdl_pins =
     ("prove_demo.c", "carte", "06fb07c338f7aa15778e235f9b582b84");
   ]
 
-(* Source files live in examples/; dune runs tests from _build subdirs. *)
-let examples_dir =
-  List.find
-    (fun d -> Sys.file_exists (Filename.concat d "fir.c"))
-    [ "../examples"; "examples"; "../../examples" ]
-
 let test_vhdl_pins () =
-  let files =
-    Sys.readdir examples_dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".c")
-    |> List.sort compare
-  in
+  let files = Pin.example_files () in
   check (Alcotest.list Alcotest.string) "one pin per example and strategy"
     (List.concat_map (fun f -> List.map (fun (s, _) -> f ^ "/" ^ s) Core.Driver.all_strategies) files)
     (List.map (fun (f, s, _) -> f ^ "/" ^ s) vhdl_pins);
   List.iter
     (fun (f, sname, want) ->
-      let ic = open_in_bin (Filename.concat examples_dir f) in
-      let src = really_input_string ic (in_channel_length ic) in
-      close_in ic;
       let c =
         Core.Driver.compile
           ~strategy:(List.assoc sname Core.Driver.all_strategies)
-          (Typecheck.parse_and_check ~file:f src)
+          (Typecheck.parse_and_check ~file:f (Pin.read_example f))
       in
       check Alcotest.string (f ^ " under " ^ sname) want
         (Digest.to_hex (Digest.string (Core.Driver.vhdl c))))

@@ -722,7 +722,7 @@ let artifact_pin f (sname, strategy) =
     Serve.Sched.run
       (Job.Compile
          {
-           Job.c_source = Job.Path (Filename.concat Pin.examples_dir f);
+           Job.c_source = Job.Path (Filename.concat (Pin.examples_dir ()) f);
            c_strategy = sname;
            c_nabort = false;
            c_ndebug = false;

@@ -17,6 +17,13 @@ module Stratix = Device.Stratix
 
 let elab = Front.Typecheck.parse_and_check
 
+let read_file path =
+  if not (Sys.file_exists path) then failwith (path ^ " not found (run from the project root)");
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
@@ -806,14 +813,6 @@ let check_bench () =
    byte-identical serial vs parallel. *)
 let prove_bench () =
   section "BMC: bounded proofs, k-induction, counterexample replay";
-  let read_file path =
-    if not (Sys.file_exists path) then
-      failwith (path ^ " not found (run from the project root)");
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  in
   let depth = 8 and induction = 4 in
   let files = [ "mine_demo.c"; "prove_demo.c"; "dct.c"; "fir.c" ] in
   let jobs = Exec.Pool.default_jobs () in
@@ -1174,6 +1173,32 @@ let bechamel () =
       ~seed:(Torture.Gen.program_seed ~run_seed:42L ~index:0)
       ~fuel:Torture.Fuzz.default_fuel
   in
+  (* prove_demo #1's k-induction, k <= 4: every k finds a counterexample
+     to induction, so all four solves run *)
+  let demo_cfg =
+    Core.Verify.model_config
+      (Core.Verify.front_of (elab ~file:"prove_demo.c" (read_file "examples/prove_demo.c")))
+  in
+  let demo_id = 1 and demo_k = 4 in
+  (* ... and the CNF of that model alone: unrolled once, encoded per run
+     as [Bmc.Prove.k_induction] encodes it, without solving *)
+  let demo_model =
+    let m = Bmc.Model.create ~free_start:true demo_cfg in
+    for _ = 0 to demo_k do
+      ignore (Bmc.Model.step m)
+    done;
+    m
+  in
+  let encode_demo () =
+    let m = demo_model in
+    let cnf = Bmc.Cnf.create m.Bmc.Model.g (Bmc.Sat.create ()) in
+    List.iter (Bmc.Cnf.assert_lit cnf) m.Bmc.Model.init_constraints;
+    for k = 1 to demo_k do
+      Bmc.Cnf.assert_lit cnf (Bmc.Aig.neg (Bmc.Model.fire_at m (k - 1) demo_id));
+      Bmc.Cnf.assert_lit cnf (Bmc.Aig.neg (Bmc.Model.crash_at m (k - 1)));
+      ignore (Bmc.Cnf.lit cnf (Bmc.Model.fire_at m k demo_id))
+    done
+  in
   (* lowering requires assertion synthesis (or stripping) to have run *)
   let des_stripped = Core.Instrument.strip_asserts (List.hd des_prog.Front.Ast.procs) in
   let des_ir = Mir.Opt.optimize (Mir.Lower.lower_proc des_prog des_stripped) in
@@ -1192,6 +1217,12 @@ let bechamel () =
       ( "compile_all, 4 oracle strategies (torture seed 42 #0)",
         Staged.stage (fun () ->
             ignore (Driver.compile_all Torture.Oracle.default_strategies torture_prog)) );
+      ( "k-induction prove_demo #1 (k <= 4)",
+        Staged.stage (fun () ->
+            ignore
+              (Bmc.Prove.k_induction demo_cfg ~id:demo_id ~max_k:demo_k
+                 ~conflict_limit:200_000)) );
+      ("CNF encode of that model", Staged.stage encode_demo);
       ( "modulo-schedule micro kernel",
         Staged.stage (fun () -> ignore (Driver.compile ~strategy:Driver.baseline micro)) );
       ( "simulate 8-stage loopback (64 values)",

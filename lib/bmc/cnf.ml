@@ -27,17 +27,11 @@ let create aig solver =
   map.(0) <- v;
   { aig; solver; map; stack = Array.make 64 0 }
 
-(* Growth copies with typed loops: [Array.blit] into a major-heap
-   [int array] stores each element through [caml_modify]. *)
+(* Both scratch arrays grow through [Sat.extend_int], which copies
+   without the write barrier. *)
 let ensure_map t n =
   let cap = Array.length t.map in
-  if n > cap then begin
-    let m = Array.make (max n (2 * cap)) (-1) in
-    for i = 0 to cap - 1 do
-      m.(i) <- t.map.(i)
-    done;
-    t.map <- m
-  end
+  if n > cap then t.map <- Sat.extend_int t.map (max n (2 * cap)) (-1)
 
 (* SAT literal of an already-encoded AIG literal. *)
 let sat_lit_of t (l : Aig.lit) : Sat.lit =
@@ -45,13 +39,7 @@ let sat_lit_of t (l : Aig.lit) : Sat.lit =
   if Aig.compl_of l then Sat.negl v else Sat.pos v
 
 let push t sp n =
-  if sp = Array.length t.stack then begin
-    let s = Array.make (2 * sp) 0 in
-    for i = 0 to sp - 1 do
-      s.(i) <- t.stack.(i)
-    done;
-    t.stack <- s
-  end;
+  if sp = Array.length t.stack then t.stack <- Sat.extend_int t.stack (2 * sp) 0;
   t.stack.(sp) <- n;
   sp + 1
 
